@@ -22,7 +22,6 @@ from .errors import EngineError, RecipeError, StepExecutionError
 from .panel import Panel, PanelRegistry
 from .toolserver import ToolServer
 
-log = logging.getLogger("factorlab")
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AlignmentError, DataError
 from . import panel as panelio
-from .panel import FactorSeries, Panel
+from .panel import FactorSeries, Panel, reframe
 
 FAILED_ATTEMPT_SCORE = -1.0
 
@@ -40,16 +40,12 @@ def align(a, b) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(b, FactorSeries):
         b = b.to_panel()
     dates = a.dates.intersection(b.dates)
-    assets = tuple(x for x in a.assets if x in set(b.assets))
+    b_assets = set(b.assets)
+    assets = tuple(x for x in a.assets if x in b_assets)
     if not len(dates) or not assets:
         raise AlignmentError("no overlapping dates/assets to compare")
-
-    def grid(p: Panel) -> np.ndarray:
-        rows = [p.dates.position(o) for o in dates.ordinals]
-        cols = [p.assets.index(x) for x in assets]
-        return p.values[np.array(rows)[:, None], np.array(cols)[None, :]]
-
-    ga, gb = grid(a), grid(b)
+    ga = reframe(a.values, a.dates, dates, a.assets, assets)
+    gb = reframe(b.values, b.dates, dates, b.assets, assets)
     keep = ~np.isnan(ga) & ~np.isnan(gb)
     if not np.any(keep):
         raise AlignmentError("no jointly non-missing cells to compare")

@@ -9,6 +9,7 @@ scalar series come back as one-column panels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,11 +75,22 @@ class OperatorSpec:
         }
 
 
+def _finite(p: ParamSpec, value) -> float:
+    """``value`` as a float; NaN and infinities pass no range check, so refuse them."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ArgError(f"{p.name}: expected a finite number, got {value!r}", p.name)
+    return number
+
+
 def _check_type(p: ParamSpec, value):
     if p.type == "number":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ArgError(f"{p.name}: expected a number, got {value!r}", p.name)
-        return float(value)
+        return _finite(p, value)
     if p.type == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ArgError(f"{p.name}: expected an integer, got {value!r}", p.name)
@@ -96,7 +108,7 @@ def _check_type(p: ParamSpec, value):
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ArgError(f"{p.name}: expected a non-empty list of numbers", p.name)
-        return [float(v) for v in value]
+        return [_finite(p, v) for v in value]
     if p.type == "map":
         if not isinstance(value, dict) or any(not isinstance(k, str) for k in value):
             raise ArgError(f"{p.name}: expected an object with string keys", p.name)
@@ -542,7 +554,3 @@ def get_operator(name: str) -> OperatorSpec:
         return OPERATORS[name]
     except KeyError:
         raise ArgError(f"unknown op {name!r}", "op") from None
-
-
-def operator_names() -> list[str]:
-    return sorted(OPERATORS)

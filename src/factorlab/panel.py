@@ -8,6 +8,9 @@ forms a directed acyclic graph from raw inputs to final outputs.
 
 Scalar time series (factor returns, thresholds) travel as one-column panels
 whose single asset is named "value"; FactorSeries is the thin host-side view.
+
+``reframe`` is the one frame mapper: every operator that needs a grid or a
+series on another date x asset frame goes through it.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ def month_ordinal(period: str) -> int:
 def ordinal_to_period(ordinal: int) -> str:
     year, month = divmod(int(ordinal), 12)
     return f"{year:04d}-{month + 1:02d}"
-
-
-def shift_period(period: str, months: int) -> str:
-    return ordinal_to_period(month_ordinal(period) + months)
 
 
 class DateIndex:
@@ -95,12 +94,45 @@ class DateIndex:
         return self._pos.get(int(ordinal))
 
     def union(self, other: "DateIndex") -> "DateIndex":
+        if self == other:
+            return self
         merged = sorted(set(self._pos) | set(other._pos))
         return DateIndex.from_ordinals(merged)
 
     def intersection(self, other: "DateIndex") -> "DateIndex":
         common = sorted(set(self._pos) & set(other._pos))
         return DateIndex.from_ordinals(common)
+
+
+def reframe(values: np.ndarray, src_dates: DateIndex, dates: DateIndex,
+            src_assets: Sequence[str] | None = None,
+            assets: Sequence[str] | None = None) -> np.ndarray:
+    """Move a grid on ``src_dates`` x ``src_assets`` onto ``dates`` x ``assets``.
+
+    Rows match by month ordinal and columns by asset id. Without assets the
+    columns (or a 1-D series) are kept as they are and only rows move. Target
+    cells the source lacks are NaN; source rows and columns the target lacks
+    are dropped. A frame that already matches returns ``values`` itself, so
+    callers must not write into the result.
+    """
+    same_cols = assets is None or tuple(src_assets) == tuple(assets)
+    if same_cols and src_dates == dates:
+        return values
+    src_ord, dst_ord = src_dates.ordinals, dates.ordinals
+    pos = np.searchsorted(src_ord, dst_ord)
+    hit = pos < len(src_ord)
+    hit[hit] = src_ord[pos[hit]] == dst_ord[hit]
+    dst_rows, src_rows = np.flatnonzero(hit), pos[hit]
+    if assets is None:
+        out = np.full((len(dates),) + values.shape[1:], np.nan)
+        out[dst_rows] = values[src_rows]
+        return out
+    src_col = {a: j for j, a in enumerate(src_assets)}
+    cols = np.array([src_col.get(a, -1) for a in assets], dtype=np.int64)
+    dst_cols = np.flatnonzero(cols >= 0)
+    out = np.full((len(dates), len(assets)), np.nan)
+    out[np.ix_(dst_rows, dst_cols)] = values[np.ix_(src_rows, cols[dst_cols])]
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,13 @@ weights renormalized, approximating investing only in tradable names.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .panel import DateIndex, FactorSeries, Panel
+from .panel import DateIndex, FactorSeries, Panel, reframe
 from .transforms import align_panels
 
 SORT_CELLS_2X3 = ("SG", "SN", "SV", "BG", "BN", "BV")
@@ -118,19 +119,6 @@ def independent_sort_2x3(size_bins: Panel, value_bins: Panel) -> dict[str, Panel
     return out
 
 
-def _align_series_values(legs: Sequence[FactorSeries]) -> tuple[DateIndex, list[np.ndarray]]:
-    dates = legs[0].dates
-    for leg in legs[1:]:
-        dates = dates.union(leg.dates)
-    cols = []
-    for leg in legs:
-        col = np.full(len(dates), np.nan)
-        for i, o in enumerate(leg.dates.ordinals):
-            col[dates.position(int(o))] = leg.values[i]
-        cols.append(col)
-    return dates, cols
-
-
 def spread_2x3(legs: dict[str, FactorSeries] | Sequence[FactorSeries],
                name: str = "spread") -> FactorSeries:
     """0.5*(SV+BV) - 0.5*(SG+BG) per date; missing if any required leg is missing."""
@@ -140,8 +128,8 @@ def spread_2x3(legs: dict[str, FactorSeries] | Sequence[FactorSeries],
         series = list(legs)
         if len(series) != 6:
             raise DataError("spread_2x3 takes six legs ordered SG, SN, SV, BG, BN, BV")
-    dates, cols = _align_series_values(series)
-    sg, _, sv, bg, _, bv = cols
+    dates = functools.reduce(DateIndex.union, [leg.dates for leg in series])
+    sg, _, sv, bg, _, bv = [reframe(leg.values, leg.dates, dates) for leg in series]
     values = 0.5 * (sv + bv) - 0.5 * (sg + bg)
     return FactorSeries(dates=dates, values=values, name=name)
 
@@ -149,7 +137,8 @@ def spread_2x3(legs: dict[str, FactorSeries] | Sequence[FactorSeries],
 def spread_topbottom(top: FactorSeries, bottom: FactorSeries,
                      name: str = "spread") -> FactorSeries:
     """Top leg minus bottom leg per date."""
-    dates, (t, b) = _align_series_values([top, bottom])
+    dates = top.dates.union(bottom.dates)
+    t, b = (reframe(leg.values, leg.dates, dates) for leg in (top, bottom))
     return FactorSeries(dates=dates, values=t - b, name=name)
 
 

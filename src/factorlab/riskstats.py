@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .panel import DateIndex, FactorSeries, Panel, month_ordinal
+from .panel import DateIndex, FactorSeries, Panel, month_ordinal, reframe
 from .transforms import align_panels
 
 
@@ -58,12 +58,8 @@ def _overlap_design(y: FactorSeries, factors: Sequence[FactorSeries]):
     for f in factors:
         dates = dates.intersection(f.dates)
 
-    def on(series: FactorSeries) -> np.ndarray:
-        pos = {int(o): i for i, o in enumerate(series.dates.ordinals)}
-        return np.array([series.values[pos[int(o)]] for o in dates.ordinals])
-
-    cols = [on(f) for f in factors]
-    yv = on(y)
+    cols = [reframe(f.values, f.dates, dates) for f in factors]
+    yv = reframe(y.values, y.dates, dates)
     keep = ~np.isnan(yv)
     for c in cols:
         keep &= ~np.isnan(c)

@@ -14,12 +14,13 @@ the date index still consumes window capacity.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import AlignmentError, DataError
-from .panel import DateIndex, FactorSeries, Panel
+from .panel import DateIndex, FactorSeries, Panel, reframe
 
 BINARY_OPS = ("add", "sub", "mul", "div")
 UNARY_OPS = ("neg", "abs", "log", "rank_sign_flip")
@@ -28,6 +29,9 @@ ROLLING_STATS = ("mean", "std", "sum", "min", "max")
 
 
 # -- alignment ---------------------------------------------------------------
+#
+# Operators decide which frame they want; panel.reframe is the one routine
+# that moves cells onto it.
 
 
 def align_panels(*panels: Panel) -> tuple[DateIndex, tuple[str, ...], list[np.ndarray]]:
@@ -35,7 +39,8 @@ def align_panels(*panels: Panel) -> tuple[DateIndex, tuple[str, ...], list[np.nd
 
     Differing asset sets are an error, never an implicit join. Columns are
     reordered to the first panel's asset order; rows missing from a panel's
-    own index come out as NaN.
+    own index come out as NaN. Grids already on the frame come back as the
+    panel's own read-only values.
     """
     first = panels[0]
     assets = first.assets
@@ -45,19 +50,10 @@ def align_panels(*panels: Panel) -> tuple[DateIndex, tuple[str, ...], list[np.nd
         if set(p.assets) != asset_set:
             raise AlignmentError(
                 f"asset sets differ: {sorted(asset_set ^ set(p.assets))[:6]} ..."
-                if asset_set ^ set(p.assets)
-                else "asset sets differ"
             )
         dates = dates.union(p.dates)
-
-    grids = []
-    for p in panels:
-        grid = np.full((len(dates), len(assets)), np.nan)
-        rows = np.array([dates.position(o) for o in p.dates.ordinals], dtype=np.int64)
-        cols = np.array([p.assets.index(a) for a in assets], dtype=np.int64)
-        grid[rows[:, None], np.arange(len(assets))[None, :]] = p.values[:, cols]
-        grids.append(grid)
-    return dates, assets, grids
+    return dates, assets, [reframe(p.values, p.dates, dates, p.assets, assets)
+                           for p in panels]
 
 
 def _align_series(dates: DateIndex, series) -> np.ndarray:
@@ -66,12 +62,7 @@ def _align_series(dates: DateIndex, series) -> np.ndarray:
         series = series.to_series()
     if not isinstance(series, FactorSeries):
         raise AlignmentError("expected a FactorSeries or one-column panel")
-    out = np.full(len(dates), np.nan)
-    for i, o in enumerate(series.dates.ordinals):
-        pos = dates.position(o)
-        if pos is not None:
-            out[pos] = series.values[i]
-    return out
+    return reframe(series.values, series.dates, dates)
 
 
 def _universe_mask(dates: DateIndex, assets, universe: Panel | None) -> np.ndarray:
@@ -80,28 +71,8 @@ def _universe_mask(dates: DateIndex, assets, universe: Panel | None) -> np.ndarr
         return np.ones((len(dates), len(assets)), dtype=bool)
     if set(universe.assets) != set(assets):
         raise AlignmentError("universe mask asset set differs from panel")
-    ugrid = _reframe(universe, dates, tuple(assets)).values
+    ugrid = reframe(universe.values, universe.dates, dates, universe.assets, assets)
     return ~np.isnan(ugrid) & (ugrid != 0)
-
-
-def _reframe(panel: Panel, dates: DateIndex, assets) -> Panel:
-    if panel.dates == dates and panel.assets == tuple(assets):
-        return panel
-    grid = np.full((len(dates), len(assets)), np.nan)
-    cols = {asset: j for j, asset in enumerate(assets)}
-    for i, o in enumerate(panel.dates.ordinals):
-        pos = dates.position(o)
-        if pos is None:
-            continue
-        for j, asset in enumerate(panel.assets):
-            grid[pos, cols[asset]] = panel.values[i, j]
-    return Panel(
-        panel_id=panel.panel_id,
-        dates=dates,
-        assets=tuple(assets),
-        values=grid,
-        provenance=panel.provenance,
-    )
 
 
 # -- shared percentile machinery --------------------------------------------
@@ -346,11 +317,11 @@ def lag(a: Panel, k: int) -> Panel:
     """Value at date t becomes the value k calendar months earlier, else missing."""
     if k < 1:
         raise DataError("lag requires k >= 1")
-    out = np.full_like(a.values, np.nan)
-    for i, o in enumerate(a.dates.ordinals):
-        src = a.dates.position(int(o) - k)
-        if src is not None:
-            out[i] = a.values[src]
+    ordinals = a.dates.ordinals
+    # past the index span every cell is missing whatever k is; the cap keeps
+    # the shifted periods on the calendar
+    shift = min(int(k), int(ordinals[-1] - ordinals[0]) + 1) if len(ordinals) else 0
+    out = reframe(a.values, DateIndex.from_ordinals(ordinals + shift), a.dates)
     return Panel.derive("lag", {"k": int(k)}, [a], a.dates, a.assets, out)
 
 
@@ -452,22 +423,26 @@ def ewma(a: Panel, alpha: float, min_periods: int = 1) -> Panel:
     if min_periods < 1:
         raise DataError("min_periods must be >= 1")
 
-    vals = a.values
-    out = np.full_like(vals, np.nan)
-    for j in range(vals.shape[1]):
-        state = np.nan
-        seen = 0
-        col = vals[:, j]
-        for i in range(vals.shape[0]):
-            x = col[i]
-            if np.isnan(x):
-                continue
-            state = x if seen == 0 else (1.0 - alpha) * state + alpha * x
-            seen += 1
-            if seen >= min_periods:
-                out[i, j] = state
+    out = np.full_like(a.values, np.nan)
+    for j in range(a.n_assets):
+        out[:, j] = _ewma_column(a.values[:, j], alpha, min_periods)
     params = {"alpha": alpha, "min_periods": min_periods}
     return Panel.derive("ewma", params, [a], a.dates, a.assets, out)
+
+
+def _ewma_column(col: np.ndarray, alpha: float, min_periods: int) -> np.ndarray:
+    """The ``ewma`` recursion on one asset's series."""
+    out = np.full(col.shape, np.nan)
+    state = np.nan
+    seen = 0
+    for i, x in enumerate(col.tolist()):
+        if math.isnan(x):
+            continue
+        state = x if seen == 0 else (1.0 - alpha) * state + alpha * x
+        seen += 1
+        if seen >= min_periods:
+            out[i] = state
+    return out
 
 
 # -- per-asset trend extension point -----------------------------------------
@@ -528,17 +503,7 @@ def _cumsum_factory():
 
 def _ewma_factory(alpha: float, min_periods: int = 1):
     def run(col):
-        out = np.full_like(col, np.nan)
-        state = np.nan
-        seen = 0
-        for i, x in enumerate(col):
-            if np.isnan(x):
-                continue
-            state = x if seen == 0 else (1.0 - alpha) * state + alpha * x
-            seen += 1
-            if seen >= min_periods:
-                out[i] = state
-        return out
+        return _ewma_column(col, alpha, min_periods)
     return run
 
 

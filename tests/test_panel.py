@@ -17,6 +17,7 @@ from factorlab.panel import (
     export_graph,
     month_ordinal,
     ordinal_to_period,
+    reframe,
     topological_order,
 )
 
@@ -44,6 +45,46 @@ class TestDateIndex:
             DateIndex(["1990-13"])
         with pytest.raises(DataError):
             DateIndex(["199001"])
+
+
+class TestReframe:
+    def test_matching_frame_returns_same_object(self):
+        p = make_panel("P", ["1990-01", "1990-02"], ["a", "b"], [[1, 2], [3, 4]])
+        out = reframe(p.values, p.dates, DateIndex(["1990-01", "1990-02"]),
+                      p.assets, ("a", "b"))
+        assert out is p.values
+
+    def test_union_with_gapped_dates_is_nan_filled(self):
+        p = make_panel("P", ["1990-01", "1990-04"], ["a"], [[1.0], [4.0]])
+        dates = p.dates.union(DateIndex(["1990-02", "1990-04"]))
+        out = reframe(p.values, p.dates, dates, p.assets, p.assets)
+        assert list(dates) == ["1990-01", "1990-02", "1990-04"]
+        np.testing.assert_array_equal(out, [[1.0], [np.nan], [4.0]])
+
+    def test_shuffled_assets_land_in_their_columns(self):
+        p = make_panel("P", ["1990-01"], ["a", "b", "c"], [[1, 2, 3]])
+        out = reframe(p.values, p.dates, p.dates, p.assets, ("c", "a", "b"))
+        np.testing.assert_array_equal(out, [[3.0, 1.0, 2.0]])
+
+    def test_narrower_target_drops_rows_and_columns(self):
+        p = make_panel("P", ["1990-01", "1990-02", "1990-03"], ["a", "b", "c"],
+                       [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        out = reframe(p.values, p.dates, DateIndex(["1990-02", "1990-05"]),
+                      p.assets, ("c", "z"))
+        np.testing.assert_array_equal(out, [[6.0, np.nan], [np.nan, np.nan]])
+
+    def test_empty_target_or_source_is_all_missing(self):
+        p = make_panel("P", ["1990-01"], ["a"], [[1.0]])
+        assert reframe(p.values, p.dates, DateIndex([]), p.assets, ("a",)).shape == (0, 1)
+        assert reframe(p.values, p.dates, p.dates, p.assets, ()).shape == (1, 0)
+        empty = np.empty((0, 0))
+        out = reframe(empty, DateIndex([]), p.dates, (), ("a", "b"))
+        assert out.shape == (1, 2) and np.all(np.isnan(out))
+
+    def test_series_moves_rows_only(self):
+        src = DateIndex(["1990-01", "1990-03"])
+        out = reframe(np.array([1.0, 3.0]), src, DateIndex.range("1990-01", 4))
+        np.testing.assert_array_equal(out, [1.0, np.nan, 3.0, np.nan])
 
 
 class TestRegistry:

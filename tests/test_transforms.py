@@ -220,7 +220,8 @@ class TestLag:
 
     def test_lag_longer_than_span(self):
         p = make_panel("P", ["2000-01", "2000-02"], ["a"], [[1.0], [2.0]])
-        assert np.isnan(tr.lag(p, 5).values).all()
+        for k in (5, 10 ** 6, 2 ** 70):
+            assert np.isnan(tr.lag(p, k).values).all()
 
     def test_calendar_not_positional(self):
         p = make_panel("P", ["2000-01", "2000-03"], ["a"], [[1.0], [2.0]])
