@@ -14,12 +14,10 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import panel as panelio
 from . import evalharness, pipeline, plotting, report, synthetic, transforms
-from .errors import EngineError, RecipeError, StepExecutionError
-from .panel import Panel, PanelRegistry
+from .errors import EngineError, StepExecutionError
+from .panel import PanelRegistry
 from .toolserver import ToolServer
 
 
@@ -182,7 +180,7 @@ def _parse_overrides(pairs) -> dict:
 def cmd_run(args) -> int:
     try:
         spec = pipeline.load_recipe(args.recipe, overrides=_parse_overrides(args.param))
-    except (RecipeError, EngineError) as exc:
+    except EngineError as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
     if args.dry_run:
@@ -248,28 +246,6 @@ def _load_data_registry(args):
 
 def cmd_report(args) -> int:
     registry = _load_data_registry(args)
-
-    def get_panel(panel_id: str) -> Panel:
-        if panel_id not in registry:
-            _fail(EXIT_VALIDATION, f"panel {panel_id!r} not found in {args.data_dir}")
-        return registry.get(panel_id)
-
-    spread_panel = get_panel(args.spread)
-    try:
-        spread = spread_panel.to_series(name=args.spread)
-    except EngineError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    char = get_panel(args.characteristic)
-    cap = get_panel(args.cap)
-
-    if args.size_bins:
-        size_bins = get_panel(args.size_bins)
-    else:
-        universe = registry.get("NYSE") if "NYSE" in registry else None
-        bins = transforms.quantile_bins(cap, SIZE_TERCILES, universe=universe)
-        registry.register(bins, name="SIZE_TERCILES_AUTO")
-        size_bins = registry.get("SIZE_TERCILES_AUTO")
-
     if not args.model:
         _fail(EXIT_USAGE, "at least one --model NAME=ID[,ID...] is required")
     models = {}
@@ -277,27 +253,24 @@ def cmd_report(args) -> int:
         if "=" not in entry:
             _fail(EXIT_USAGE, f"--model expects NAME=ID[,ID...], got {entry!r}")
         name, ids = entry.split("=", 1)
-        models[name] = [get_panel(i).to_series(name=i) for i in ids.split(",") if i]
+        models[name] = [i for i in ids.split(",") if i]
 
-    builder = None
-    if args.stratify_recipe:
-        try:
-            spec = pipeline.load_recipe(args.stratify_recipe)
-            output = args.stratify_output or spec.steps[-1].output
-            sources = {name: get_panel(name) for name in spec.sources}
-            builder = pipeline.make_spread_builder(spec, sources, output)
-        except (RecipeError, EngineError) as exc:
-            _fail(EXIT_VALIDATION, str(exc))
-
-    weights = get_panel(args.weights) if args.weights else None
-
+    size_bins = args.size_bins
     try:
-        rep = report.build_report(
-            spread, char, cap, size_bins, models,
-            spread_builder=builder,
-            weight_panel=weights,
-            recipe_reference=args.stratify_recipe or "",
+        if not size_bins and args.cap in registry:
+            universe = registry.get("NYSE") if "NYSE" in registry else None
+            bins = transforms.quantile_bins(registry.get(args.cap), SIZE_TERCILES,
+                                            universe=universe)
+            size_bins = registry.register(bins, name="SIZE_TERCILES_AUTO")
+        kwargs = report.resolve_arguments(
+            registry, args.spread, args.characteristic, args.cap, size_bins, models,
+            stratify_recipe=args.stratify_recipe, stratify_output=args.stratify_output,
+            weights=args.weights,
         )
+    except EngineError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+    try:
+        rep = report.build_report(**kwargs)
     except EngineError as exc:
         _fail(EXIT_RUNTIME, str(exc))
 

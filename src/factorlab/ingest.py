@@ -224,11 +224,7 @@ def book_to_market(be: Panel, capco: Panel) -> Panel:
         capco_row = gcapco[i]
         # latest fiscal-year-end value in the 12 months ending this December
         latest = np.full(len(assets), np.nan)
-        for m in range(int(o) - 11, int(o) + 1):
-            pos = dates.position(m)
-            if pos is None:
-                continue
-            row = gbe[pos]
+        for row in gbe[dates.rows_between(int(o) - 11, int(o) + 1)]:
             fresh = ~np.isnan(row)
             latest[fresh] = row[fresh]
         with np.errstate(invalid="ignore", divide="ignore"):

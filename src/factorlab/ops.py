@@ -2,20 +2,24 @@
 
 The pipeline interpreter validates recipe steps against these specs, and the
 tool server derives its callable-tool descriptors from the same table, so
-static validation and the wire schema cannot drift apart. Executors return
-fully-provenanced panels; operators whose natural result is a per-date
-scalar series come back as one-column panels.
+static validation and the wire schema cannot drift apart. Both run a step
+through ``apply_step``, so they compute, check and record it the same way.
+Executors return fully-provenanced panels; operators whose natural result
+is a per-date scalar series come back as one-column panels.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import ingest, portfolio, transforms
-from .errors import EngineError
-from .panel import FactorSeries, Panel
+from .errors import EngineError, RegistryError, StepExecutionError
+from .panel import FactorSeries, Panel, PanelRegistry
 
 
 class ArgError(EngineError):
@@ -179,6 +183,45 @@ def execute_operator(spec: OperatorSpec, inputs: Sequence[Panel], args: dict,
     if isinstance(result, FactorSeries):
         raise EngineError(f"op {spec.name!r} executor returned a bare series")
     return result
+
+
+def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args: dict,
+               name: str | None = None) -> tuple[str, dict]:
+    """Validate, execute and register one operator step; return its id and record.
+
+    A bad argument, an unknown input id or an unusable output name raises
+    ArgError naming the field, and an all-missing output raises
+    StepExecutionError; whatever the executor raises propagates unchanged.
+    The record holds the output's shape, non-missing cell and month counts,
+    wall time and the executor's flags.
+    """
+    spec = get_operator(op)
+    normalized = validate_args(spec, args, len(input_ids))
+    try:
+        panels = [registry.get(pid) for pid in input_ids]
+    except RegistryError as exc:
+        raise ArgError(str(exc), "inputs") from exc
+    started = time.perf_counter()
+    flags: list[str] = []
+    out = execute_operator(spec, panels, normalized, flags)
+    live = ~np.isnan(out.values)
+    n_nonmissing = int(np.count_nonzero(live))
+    if n_nonmissing == 0:
+        raise StepExecutionError(f"op {op!r} produced no non-missing values")
+    try:
+        panel_id = registry.register(out, name=name)
+    except RegistryError as exc:
+        raise ArgError(str(exc), "name") from exc
+    return panel_id, {
+        "op": op,
+        "panel_id": panel_id,
+        "n_dates": out.n_dates,
+        "n_assets": out.n_assets,
+        "n_nonmissing": n_nonmissing,
+        "n_months_nonnull": int(np.count_nonzero(live.any(axis=1))),
+        "seconds": round(time.perf_counter() - started, 6),
+        "flags": flags,
+    }
 
 
 def _series_panel(series: FactorSeries, op_name: str, args: dict,

@@ -93,6 +93,19 @@ class DateIndex:
         """Row index of a month ordinal, or None when the period is absent."""
         return self._pos.get(int(ordinal))
 
+    def rows_between(self, lo: int, hi: int) -> slice:
+        """Rows of the months with ordinal in ``[lo, hi)``, in date order.
+
+        The bounds are clamped to the index span first, so any Python int is
+        accepted; the cost does not depend on the width of the range.
+        """
+        if not len(self.periods):
+            return slice(0, 0)
+        first, end = int(self.ordinals[0]), int(self.ordinals[-1]) + 1
+        lo, hi = (min(max(int(b), first), end) for b in (lo, hi))
+        start, stop = np.searchsorted(self.ordinals, [lo, hi]).tolist()
+        return slice(start, stop)
+
     def union(self, other: "DateIndex") -> "DateIndex":
         if self == other:
             return self
@@ -243,9 +256,6 @@ class Panel:
     @property
     def n_assets(self) -> int:
         return len(self.assets)
-
-    def missing_mask(self) -> np.ndarray:
-        return np.isnan(self.values)
 
     def n_nonmissing(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.values)))
@@ -433,6 +443,8 @@ def save(panel: Panel, directory) -> list[Path]:
 
 def load(directory, panel_id: str) -> Panel:
     """Rebuild a saved panel bit-exactly (values, missing mask, frame, provenance)."""
+    if not _ID_RE.match(panel_id):
+        raise DataError(f"invalid panel id {panel_id!r}")
     directory = Path(directory)
     csv_path = directory / f"{panel_id}.csv"
     meta_path = directory / f"{panel_id}.meta.json"

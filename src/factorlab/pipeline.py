@@ -17,17 +17,14 @@ from __future__ import annotations
 
 import json
 import re
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import transforms
 from .errors import DataError, RecipeError, RegistryError, StepExecutionError
-from .ops import ArgError, OPERATORS, execute_operator, get_operator, validate_args
+from .ops import ArgError, apply_step, get_operator, validate_args
 from .panel import FactorSeries, Panel, PanelRegistry
 
 
@@ -169,44 +166,19 @@ def execute(spec: PipelineSpec, registry: PanelRegistry) -> ExecutionResult:
 
     result = ExecutionResult(outputs={})
     for i, step in enumerate(spec.steps):
-        op = OPERATORS[step.op]
-        panels = []
-        for ref in step.inputs:
-            panel_id = result.outputs.get(ref, ref)
-            panels.append(registry.get(panel_id))
-        started = time.perf_counter()
-        step_flags: list[str] = []
+        input_ids = [result.outputs.get(ref, ref) for ref in step.inputs]
         try:
-            out_panel = execute_operator(op, panels, dict(step.args), flags=step_flags)
+            panel_id, record = apply_step(registry, step.op, input_ids, step.args,
+                                          name=step.output)
+        except StepExecutionError as exc:
+            raise StepExecutionError(str(exc), step=i, outputs=result.outputs) from exc
         except Exception as exc:
             raise StepExecutionError(
                 f"op {step.op!r} failed: {exc}", step=i, outputs=result.outputs
             ) from exc
-        if out_panel.n_nonmissing() == 0:
-            raise StepExecutionError(
-                f"op {step.op!r} produced no non-missing values", step=i,
-                outputs=result.outputs,
-            )
-        panel_id = registry.register(out_panel, name=step.output)
-        elapsed = time.perf_counter() - started
-
-        registered = registry.get(panel_id)
-        month_nonnull = int(np.count_nonzero(
-            np.any(~np.isnan(registered.values), axis=1)
-        ))
         result.outputs[step.output] = panel_id
-        result.flags.extend(f"step {i} ({step.op}): {msg}" for msg in step_flags)
-        result.log.append({
-            "step": i,
-            "op": step.op,
-            "output": step.output,
-            "panel_id": panel_id,
-            "n_dates": registered.n_dates,
-            "n_assets": registered.n_assets,
-            "n_nonmissing": registered.n_nonmissing(),
-            "n_months_nonnull": month_nonnull,
-            "seconds": round(elapsed, 6),
-        })
+        result.flags.extend(f"step {i} ({step.op}): {msg}" for msg in record.pop("flags"))
+        result.log.append({"step": i, "output": step.output, **record})
     return result
 
 
@@ -267,7 +239,7 @@ def shipped_recipes() -> dict[str, Path]:
 def load_recipe(ref, overrides: Mapping | None = None) -> PipelineSpec:
     """Load a recipe from a filesystem path or by shipped-recipe name."""
     path = Path(ref)
-    if not path.exists():
+    if not path.is_file():
         shipped = shipped_recipes()
         if str(ref) in shipped:
             path = shipped[str(ref)]
@@ -275,7 +247,11 @@ def load_recipe(ref, overrides: Mapping | None = None) -> PipelineSpec:
             raise DataError(
                 f"recipe {ref!r} not found (shipped: {sorted(shipped)})"
             )
-    return parse_and_validate(path.read_text(), overrides=overrides)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"recipe {ref!r} cannot be read: {exc}") from exc
+    return parse_and_validate(text, overrides=overrides)
 
 
 # -- keyword catalog -----------------------------------------------------------

@@ -16,14 +16,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, EngineError
-from .panel import FactorSeries, Panel
+from . import pipeline
+from .errors import EngineError
+from .ops import ArgError
+from .panel import FactorSeries, Panel, PanelRegistry
 from .portfolio import turnover as turnover_op
 from .riskstats import (
     CoverageRow,
     RegressionResult,
     StratifiedCell,
-    SummaryStats,
     coverage_by_period,
     size_stratified_alphas,
     summarize,
@@ -169,6 +170,62 @@ def build_report(
         section_size=size_table,
         annotations=annotations,
     )
+
+
+def resolve_arguments(registry: PanelRegistry, spread, characteristic, cap, size_bins,
+                      models, stratify_recipe=None, stratify_output=None,
+                      weights=None) -> dict:
+    """``build_report``'s keyword arguments from panel ids in ``registry``.
+
+    ``models`` maps a model name to a list of factor panel ids. A stratify
+    recipe (path or shipped name) becomes the spread builder of the size
+    section, fed with the registry's panels of the recipe's sources. A missing
+    panel, a wrong type or a bad recipe raises ArgError naming the argument.
+    """
+    def lookup(param, panel_id, label=None, series=False):
+        label = label or param
+        if not isinstance(panel_id, str) or not panel_id:
+            raise ArgError(f"missing or invalid {label!r}", param)
+        try:
+            found = registry.get(panel_id)
+            return found.to_series(name=panel_id) if series else found
+        except EngineError as exc:
+            raise ArgError(f"{label}: {exc}", param) from exc
+
+    kwargs = {
+        "spread": lookup("spread", spread, series=True),
+        "char": lookup("characteristic", characteristic),
+        "cap": lookup("cap", cap),
+        "size_bins": lookup("size_bins", size_bins),
+    }
+    if not isinstance(models, dict) or not models:
+        raise ArgError("models must map name -> [factor panel ids]", "models")
+    kwargs["models"] = {}
+    for model, ids in models.items():
+        if not isinstance(ids, list):
+            raise ArgError(f"models[{model}] must be a list", "models")
+        kwargs["models"][model] = [lookup("models", i, f"models[{model}]", series=True)
+                                   for i in ids]
+
+    for param, value in (("stratify_recipe", stratify_recipe),
+                         ("stratify_output", stratify_output)):
+        if value is not None and not isinstance(value, str):
+            raise ArgError(f"missing or invalid {param!r}", param)
+    kwargs["spread_builder"] = None
+    if stratify_recipe is not None:
+        try:
+            spec = pipeline.load_recipe(stratify_recipe)
+            sources = {name: registry.get(name) for name in spec.sources}
+        except EngineError as exc:
+            raise ArgError(f"stratify_recipe: {exc}", "stratify_recipe") from exc
+        output = stratify_output or (spec.steps[-1].output if spec.steps else "")
+        try:
+            kwargs["spread_builder"] = pipeline.make_spread_builder(spec, sources, output)
+        except EngineError as exc:
+            raise ArgError(f"stratify_output: {exc}", "stratify_output") from exc
+    kwargs["weight_panel"] = None if weights is None else lookup("weights", weights)
+    kwargs["recipe_reference"] = stratify_recipe or ""
+    return kwargs
 
 
 # -- rendering ---------------------------------------------------------------

@@ -21,8 +21,8 @@ import sys
 
 from . import panel as panelio
 from . import pipeline, report
-from .errors import EngineError
-from .ops import ArgError, OPERATORS, execute_operator, validate_args
+from .errors import EngineError, StepExecutionError
+from .ops import ArgError, OPERATORS, apply_step
 from .panel import Panel, PanelRegistry
 
 PARSE_ERROR = -32700
@@ -137,7 +137,6 @@ class ToolServer:
         return handler(arguments)
 
     def _call_operator(self, name: str, arguments: dict) -> dict:
-        spec = OPERATORS[name]
         input_ids = arguments.get("inputs", [])
         if not isinstance(input_ids, list) or any(not isinstance(x, str) for x in input_ids):
             raise RpcError(INVALID_PARAMS, "inputs must be a list of panel ids",
@@ -148,20 +147,13 @@ class ToolServer:
             raise RpcError(INVALID_PARAMS, "name must be a string",
                            data={"param": "name"})
         try:
-            normalized = validate_args(spec, args, len(input_ids))
+            panel_id, _ = apply_step(self.registry, name, input_ids, args, name=out_name)
         except ArgError as exc:
             raise RpcError(INVALID_PARAMS, str(exc), data={"param": exc.param}) from exc
-        try:
-            panels = [self.registry.get(pid) for pid in input_ids]
-        except EngineError as exc:
-            raise RpcError(INVALID_PARAMS, str(exc), data={"param": "inputs"}) from exc
-        try:
-            result = execute_operator(spec, panels, normalized)
+        except StepExecutionError as exc:
+            raise RpcError(RUNTIME_ERROR, str(exc)) from exc
         except EngineError as exc:
             raise RpcError(RUNTIME_ERROR, f"op {name!r} failed: {exc}") from exc
-        if result.n_nonmissing() == 0:
-            raise RpcError(RUNTIME_ERROR, f"op {name!r} produced no non-missing values")
-        panel_id = self.registry.register(result, name=out_name)
         return self.registry.get(panel_id).payload()
 
     # -- non-operator tools ----------------------------------------------------
@@ -208,51 +200,14 @@ class ToolServer:
         return {"graph": doc, "dot": dot}
 
     def _tool_build_report(self, arguments: dict) -> dict:
-        spread_id = self._required_str(arguments, "spread")
-        char_id = self._required_str(arguments, "characteristic")
-        cap_id = self._required_str(arguments, "cap")
-        size_id = self._required_str(arguments, "size_bins")
-        models_arg = arguments.get("models")
-        if not isinstance(models_arg, dict) or not models_arg:
-            raise RpcError(INVALID_PARAMS, "models must map name -> [factor panel ids]",
-                           data={"param": "models"})
+        params = EXTRA_TOOLS["build_report"]["parameters"]
         try:
-            spread = self.registry.get(spread_id).to_series(name=spread_id)
-            char = self.registry.get(char_id)
-            cap = self.registry.get(cap_id)
-            size_bins = self.registry.get(size_id)
-            models = {}
-            for model, ids in models_arg.items():
-                if not isinstance(ids, list):
-                    raise RpcError(INVALID_PARAMS, f"models[{model}] must be a list",
-                                   data={"param": "models"})
-                models[model] = [self.registry.get(i).to_series(name=i) for i in ids]
-        except EngineError as exc:
-            raise RpcError(INVALID_PARAMS, str(exc), data={"param": "models"}) from exc
-
-        builder = None
-        recipe_ref = arguments.get("stratify_recipe")
-        if recipe_ref is not None:
-            try:
-                spec = pipeline.load_recipe(recipe_ref)
-                output = arguments.get("stratify_output") or spec.steps[-1].output
-                sources = {name: self.registry.get(name) for name in spec.sources}
-                builder = pipeline.make_spread_builder(spec, sources, output)
-            except EngineError as exc:
-                raise RpcError(INVALID_PARAMS, str(exc),
-                               data={"param": "stratify_recipe"}) from exc
-
-        weights = None
-        if arguments.get("weights") is not None:
-            weights = self.registry.get(self._required_str(arguments, "weights"))
-
+            kwargs = report.resolve_arguments(
+                self.registry, **{p["name"]: arguments.get(p["name"]) for p in params})
+        except ArgError as exc:
+            raise RpcError(INVALID_PARAMS, str(exc), data={"param": exc.param}) from exc
         try:
-            rep = report.build_report(
-                spread, char, cap, size_bins, models,
-                spread_builder=builder,
-                weight_panel=weights,
-                recipe_reference=str(recipe_ref or ""),
-            )
+            rep = report.build_report(**kwargs)
         except EngineError as exc:
             raise RpcError(RUNTIME_ERROR, str(exc)) from exc
         return {

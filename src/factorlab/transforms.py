@@ -98,12 +98,6 @@ def percentile_linear(values: np.ndarray, pct: float) -> float:
     return float(vals[lo - 1] + frac * (vals[lo] - vals[lo - 1]))
 
 
-def _row_percentiles(row: np.ndarray, in_universe: np.ndarray,
-                     pcts: Sequence[float]) -> list[float]:
-    sample = row[in_universe & ~np.isnan(row)]
-    return [percentile_linear(sample, p) for p in pcts]
-
-
 # -- primitive operators -----------------------------------------------------
 
 
@@ -344,12 +338,10 @@ def rolling_compound_return(r: Panel, window: int, skip: int = 0,
         raise DataError("need 1 <= min_obs <= window - skip")
 
     out = np.full_like(r.values, np.nan)
-    for i, o in enumerate(r.dates.ordinals):
-        rows = [r.dates.position(m) for m in range(int(o) - window, int(o) - skip)]
-        rows = [pos for pos in rows if pos is not None]
-        if not rows:
+    for i, o in enumerate(r.dates.ordinals.tolist()):
+        block = r.values[r.dates.rows_between(o - window, o - skip)]
+        if not len(block):
             continue
-        block = r.values[rows, :]
         count = np.count_nonzero(~np.isnan(block), axis=0)
         growth = np.prod(np.where(np.isnan(block), 1.0, 1.0 + block), axis=0) - 1.0
         ok = count >= min_obs
@@ -367,12 +359,10 @@ def rolling_stat(a: Panel, window: int, stat: str, min_obs: int = 1) -> Panel:
         raise DataError("need 1 <= min_obs <= window")
 
     out = np.full_like(a.values, np.nan)
-    for i, o in enumerate(a.dates.ordinals):
-        rows = [a.dates.position(m) for m in range(int(o) - window + 1, int(o) + 1)]
-        rows = [pos for pos in rows if pos is not None]
-        if not rows:
+    for i, o in enumerate(a.dates.ordinals.tolist()):
+        block = a.values[a.dates.rows_between(o - window + 1, o + 1)]
+        if not len(block):
             continue
-        block = a.values[rows, :]
         count = np.count_nonzero(~np.isnan(block), axis=0)
         with np.errstate(invalid="ignore"):
             if stat == "mean":
@@ -534,19 +524,14 @@ def annual_to_monthly(a: Panel, placement_month: int, offset: int,
         raise DataError("offset must be >= 0")
 
     out = np.full_like(a.values, np.nan)
-    ordinals = a.dates.ordinals
-    for i, o in enumerate(ordinals):
-        if int(o) % 12 != placement_month - 1:
+    for i, o in enumerate(a.dates.ordinals.tolist()):
+        if o % 12 != placement_month - 1:
             continue
         row = a.values[i]
         present = ~np.isnan(row)
         if not np.any(present):
             continue
-        for target in range(int(o) + offset, int(o) + offset + valid_months):
-            pos = a.dates.position(target)
-            if pos is None:
-                continue
-            out[pos, present] = row[present]
+        out[a.dates.rows_between(o + offset, o + offset + valid_months), present] = row[present]
     params = {
         "placement_month": placement_month,
         "offset": offset,

@@ -1,0 +1,81 @@
+"""Smoke tests of the command line: the whole chain in a scratch directory."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from factorlab import cli
+
+RUN_LOG_KEYS = {"recipe", "params", "sources", "outputs", "steps", "flags", "ingest_removed"}
+STEP_KEYS = {"step", "op", "output", "panel_id", "n_dates", "n_assets", "n_nonmissing",
+             "n_months_nonnull", "seconds"}
+
+
+def factorlab(directory, *argv) -> int:
+    return cli.main(["--data-dir", str(directory), "--out-dir", str(directory), *argv])
+
+
+def exit_code(directory, *argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        factorlab(directory, *argv)
+    return exc.value.code
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """gen -> ingest -> run hml (its run log kept aside) -> run market_vw."""
+    directory = tmp_path_factory.mktemp("cli")
+    assert factorlab(directory, "gen", "--n-assets", "30", "--n-months", "72",
+                     "--val-spread", "0.003") == 0
+    assert factorlab(directory, "ingest") == 0
+    assert factorlab(directory, "run", "hml") == 0
+    hml_log = json.loads((directory / "run_log.json").read_text())
+    assert factorlab(directory, "run", "market_vw") == 0
+    return directory, hml_log
+
+
+def test_run_log_keys(workdir):
+    _, log = workdir
+    assert set(log) == RUN_LOG_KEYS
+    assert log["recipe"] == "hml"
+    assert log["steps"]
+    for i, step in enumerate(log["steps"]):
+        assert set(step) == STEP_KEYS
+        assert step["step"] == i
+        assert log["outputs"][step["output"]] == step["panel_id"]
+
+
+def test_report_graph_and_plot(workdir):
+    directory, _ = workdir
+    assert factorlab(directory, "report", "--spread", "HML_spread", "--characteristic", "BM",
+                     "--model", "CAPM=MKT", "--stratify-recipe", "hml",
+                     "--weights", "W_SV") == 0
+    document = json.loads((directory / "report_HML_spread.json").read_text())
+    assert document["metadata"]["panel_ids"]["size_bins"] == "SIZE_TERCILES_AUTO"
+    assert isinstance(document["alphas_by_size"], list)
+    assert (directory / "report_HML_spread.md").exists()
+    assert factorlab(directory, "graph", "HML_spread") == 0
+    assert (directory / "HML_spread.dot").exists()
+    assert factorlab(directory, "plot", "HML_spread", "MKT") == 0
+    assert (directory / "HML_spread_vs_MKT.svg").exists()
+
+
+def test_dry_run_prints_the_plan(workdir, capsys):
+    directory, _ = workdir
+    assert factorlab(directory, "run", "jkp_momentum", "--dry-run") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("recipe jkp_momentum:")
+    assert "-> MOM_spread" in out
+
+
+def test_unknown_recipe_is_a_validation_error(workdir):
+    directory, _ = workdir
+    assert exit_code(directory, "run", "no_such_recipe") == cli.EXIT_VALIDATION
+
+
+def test_unknown_spread_is_a_validation_error(workdir):
+    directory, _ = workdir
+    assert exit_code(directory, "report", "--spread", "NOPE", "--characteristic", "BM",
+                     "--model", "CAPM=MKT") == cli.EXIT_VALIDATION

@@ -46,6 +46,22 @@ class TestDateIndex:
         with pytest.raises(DataError):
             DateIndex(["199001"])
 
+    def test_rows_between_matches_a_per_month_lookup(self):
+        idx = DateIndex(["1990-01", "1990-02", "1990-05", "1990-06", "1991-01"])
+        first, last = int(idx.ordinals[0]), int(idx.ordinals[-1])
+        for lo in range(first - 3, last + 4):
+            for hi in range(lo - 1, last + 5):
+                per_month = [idx.position(m) for m in range(lo, hi)]
+                expected = [pos for pos in per_month if pos is not None]
+                assert list(range(len(idx)))[idx.rows_between(lo, hi)] == expected
+
+    def test_rows_between_clamps_bounds_of_any_size(self):
+        idx = DateIndex(["1990-01", "1990-03"])
+        assert idx.rows_between(-2 ** 70, 2 ** 70) == slice(0, 2)
+        assert idx.rows_between(2 ** 70, 2 ** 71) == slice(2, 2)
+        assert idx.rows_between(-2 ** 71, -2 ** 70) == slice(0, 0)
+        assert DateIndex([]).rows_between(0, 2 ** 70) == slice(0, 0)
+
 
 class TestReframe:
     def test_matching_frame_returns_same_object(self):
@@ -177,6 +193,13 @@ class TestSaveLoad:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing file"):
             panelio.load(tmp_path, "NOPE")
+
+    @pytest.mark.parametrize("panel_id", ["../x", "a/b", "/etc/passwd", ".hidden", ""])
+    def test_load_rejects_ids_that_are_not_panel_ids(self, tmp_path, panel_id):
+        inner = tmp_path / "inner"
+        panelio.save(make_panel("x", ["1990-01"], ["a"], [[1.0]]), tmp_path)
+        with pytest.raises(DataError, match="invalid panel id"):
+            panelio.load(inner, panel_id)
 
     def test_load_rejects_cell_outside_frame(self, tmp_path):
         p = make_panel("P", ["1990-01"], ["a"], [[1.0]])

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from factorlab import pipeline
+from factorlab.errors import DataError, StepExecutionError
+from factorlab.panel import PanelRegistry
 
 from . import oracles
+from .conftest import make_panel
 
 TOLERANCE = 1e-12
 
@@ -32,3 +35,51 @@ def test_recipe_matches_oracle(recipe, output, n_months, source_panels, syntheti
     assert set(produced) == set(oracle)
     assert len(produced) == n_months
     assert max(abs(produced[m] - oracle[m]) for m in oracle) <= TOLERANCE
+
+
+def _two_step_recipe(second: dict) -> pipeline.PipelineSpec:
+    return pipeline.parse_and_validate({
+        "name": "two_steps",
+        "sources": ["X"],
+        "steps": [{"op": "unary_op", "inputs": ["X"], "args": {"op": "neg"}, "output": "A"},
+                  {**second, "inputs": ["A"], "output": "B"}],
+    })
+
+
+@pytest.mark.parametrize("second, message", [
+    ({"op": "lag", "args": {"k": 5}}, "step 1: op 'lag' produced no non-missing values"),
+    ({"op": "trend", "args": {"name": "ewma", "params": {"bogus": 1}}},
+     "step 1: op 'trend' failed: "),
+])
+def test_failing_step_keeps_earlier_outputs(second, message):
+    source = make_panel("X", ["2000-01", "2000-02", "2000-03"], ["a", "b"],
+                        [[1.0, 2.0], [3.0, None], [5.0, 6.0]])
+    registry = PanelRegistry()
+    registry.register(source)
+    with pytest.raises(StepExecutionError) as exc:
+        pipeline.execute(_two_step_recipe(second), registry)
+    assert str(exc.value).startswith(message)
+    assert exc.value.step == 1
+    assert exc.value.outputs == {"A": "A"}
+    assert registry.ids() == ["X", "A"]
+    np.testing.assert_array_equal(registry.get("A").values, -source.values)
+
+
+def test_step_log_records_shape_and_coverage(source_panels):
+    spec = pipeline.load_recipe("jkp_momentum")
+    registry, result = pipeline.run_recipe(spec, {s: source_panels[s] for s in spec.sources})
+    assert [entry["step"] for entry in result.log] == list(range(len(spec.steps)))
+    for entry, step in zip(result.log, spec.steps):
+        panel = registry.get(entry["panel_id"])
+        assert (entry["op"], entry["output"]) == (step.op, step.output)
+        assert (entry["n_dates"], entry["n_assets"]) == panel.values.shape
+        assert entry["n_nonmissing"] == panel.n_nonmissing()
+        assert entry["n_months_nonnull"] == int((~np.isnan(panel.values)).any(axis=1).sum())
+
+
+def test_recipe_that_is_a_directory_or_not_text_is_a_data_error(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for ref in ("", str(tmp_path), str(binary)):
+        with pytest.raises(DataError):
+            pipeline.load_recipe(ref)

@@ -1,0 +1,184 @@
+"""The JSON-RPC tool server driven line by line, as an agent client drives it."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from factorlab import panel as panelio
+from factorlab import pipeline, transforms
+from factorlab.panel import DateIndex, Panel
+from factorlab.toolserver import (
+    INVALID_PARAMS,
+    METHOD_NOT_FOUND,
+    PARSE_ERROR,
+    RUNTIME_ERROR,
+    ToolServer,
+)
+
+from . import oracles
+from .test_pipeline import TOLERANCE
+
+def call(server: ToolServer, tool: str, arguments: dict) -> dict:
+    request = {"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+               "params": {"name": tool, "arguments": arguments}}
+    return json.loads(server.handle_line(json.dumps(request)))
+
+
+def replay(server: ToolServer, recipe: str) -> dict[str, str]:
+    """Send each recipe step as one tool call; map step outputs to panel ids."""
+    ids: dict[str, str] = {}
+    for step in pipeline.load_recipe(recipe).steps:
+        response = call(server, step.op, {
+            "inputs": [ids.get(ref, ref) for ref in step.inputs],
+            "args": step.args,
+            "name": step.output,
+        })
+        assert "result" in response, response
+        ids[step.output] = response["result"]["panel_id"]
+    return ids
+
+
+@pytest.fixture(scope="module")
+def oracle_server(source_panels, tmp_path_factory):
+    """A session with every ORACLE_CONFIG source loaded through load_source."""
+    directory = tmp_path_factory.mktemp("sources")
+    server = ToolServer()
+    for name, panel in source_panels.items():
+        panelio.save(panel, directory)
+        response = call(server, "load_source", {"directory": str(directory),
+                                                "panel_id": name})
+        assert response["result"]["panel_id"] == name
+    return server
+
+
+@pytest.mark.parametrize("recipe, output", [
+    ("hml", "HML_spread"),
+    ("jkp_momentum", "MOM_spread"),
+])
+def test_chained_calls_match_oracle_and_pipeline(recipe, output, oracle_server,
+                                                 source_panels, synthetic_dir):
+    monthly, annual = synthetic_dir / "monthly.csv", synthetic_dir / "annual.csv"
+    oracle = (oracles.hml_bruteforce(monthly, annual) if recipe == "hml"
+              else oracles.jkp_bruteforce(monthly))
+    served = oracle_server.registry.get(replay(oracle_server, recipe)[output])
+    produced = {int(o): float(v) for o, v in zip(served.dates.ordinals, served.values[:, 0])
+                if not np.isnan(v)}
+    assert set(produced) == set(oracle)
+    assert max(abs(produced[m] - oracle[m]) for m in oracle) <= TOLERANCE
+
+    spec = pipeline.load_recipe(recipe)
+    registry, result = pipeline.run_recipe(spec, {s: source_panels[s] for s in spec.sources})
+    np.testing.assert_array_equal(served.values,
+                                  registry.get(result.outputs[output]).values)
+
+
+# -- error codes ------------------------------------------------------------------
+
+
+@pytest.fixture
+def server():
+    """A 60-month x 30-asset session: cap, characteristic, size bins, two series."""
+    rng = np.random.default_rng(3)
+    dates = DateIndex.range("1995-01", 60)
+    assets = tuple(f"a{j:02d}" for j in range(30))
+    s = ToolServer()
+    cap = Panel.source("CAP", dates, assets, rng.lognormal(5.0, 1.0, size=(60, 30)))
+    s.registry.register(cap)
+    s.registry.register(Panel.source("CHAR", dates, assets, rng.normal(size=(60, 30))))
+    s.registry.register(transforms.quantile_bins(cap, [50.0]), name="SB")
+    for name in ("S", "M"):
+        s.registry.register(Panel.source(name, dates, ("value",),
+                                         rng.normal(0.0, 0.05, size=(60, 1))))
+    return s
+
+
+PARSE_LINE = '{"jsonrpc": "2.0", "id": 0, "method": "tools/call", "params": {'
+
+
+def test_parse_error(server):
+    response = json.loads(server.handle_line(PARSE_LINE))
+    assert response["error"]["code"] == PARSE_ERROR
+    assert response["id"] is None
+
+
+@pytest.mark.parametrize("tool, arguments, code, param", [
+    ("no_such_tool", {}, METHOD_NOT_FOUND, None),
+    ("quantile_bins", {"inputs": ["CAP"], "args": {"percentiles": [150]}},
+     INVALID_PARAMS, "percentiles"),
+    ("compare", {"inputs": ["NO_SUCH_PANEL"], "args": {"op": "ge", "threshold": 0}},
+     INVALID_PARAMS, "inputs"),
+    ("winsorize", {"inputs": ["CAP"], "args": {"hi_pct": math.nan}},
+     INVALID_PARAMS, "hi_pct"),
+    ("lag", {"inputs": ["CAP"], "args": {"k": 1}, "name": "not an id"},
+     INVALID_PARAMS, "name"),
+])
+def test_error_codes(server, tool, arguments, code, param):
+    error = call(server, tool, arguments)["error"]
+    assert error["code"] == code
+    assert error.get("data", {}).get("param") == param
+
+
+def test_all_missing_output_is_a_runtime_error_and_not_registered(server):
+    before = server.registry.ids()
+    error = call(server, "lag", {"inputs": ["CAP"], "args": {"k": 600}})["error"]
+    assert error == {"code": RUNTIME_ERROR,
+                     "message": "op 'lag' produced no non-missing values"}
+    assert server.registry.ids() == before
+
+
+def test_load_source_refuses_a_path_outside_the_directory(server, tmp_path):
+    panelio.save(server.registry.get("CAP"), tmp_path)
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    error = call(server, "load_source", {"directory": str(inner),
+                                         "panel_id": "../CAP"})["error"]
+    assert error["code"] == RUNTIME_ERROR
+    assert "invalid panel id" in error["message"]
+
+
+# -- build_report ------------------------------------------------------------------
+
+REPORT = {"spread": "S", "characteristic": "CHAR", "cap": "CAP", "size_bins": "SB",
+          "models": {"CAPM": ["M"]}}
+
+
+def test_build_report(server):
+    result = call(server, "build_report", REPORT)["result"]
+    assert result["document"]["metadata"]["factor"] == "S"
+    assert result["markdown"].startswith("# Factor Diagnostics: S")
+
+
+@pytest.mark.parametrize("param, change", [
+    ("spread", {"spread": "NOPE"}),
+    ("spread", {"spread": "CAP"}),  # not a one-column series
+    ("characteristic", {"characteristic": "NOPE"}),
+    ("cap", {"cap": "NOPE"}),
+    ("size_bins", {"size_bins": 5}),
+    ("models", {"models": {"CAPM": ["NOPE"]}}),
+    ("models", {"models": {"CAPM": "M"}}),
+    ("stratify_recipe", {"stratify_recipe": 5}),
+    ("stratify_recipe", {"stratify_recipe": "no_such_recipe"}),
+    ("stratify_recipe", {"stratify_recipe": "."}),  # a directory
+    ("stratify_output", {"stratify_recipe": "hml", "stratify_output": ["HML_spread"]}),
+    ("weights", {"weights": "NOPE"}),
+])
+def test_build_report_names_the_failing_argument(server, param, change):
+    error = call(server, "build_report", {**REPORT, **change})["error"]
+    assert error["code"] == INVALID_PARAMS
+    assert error["data"] == {"param": param}
+
+
+def test_build_report_unknown_stratify_output(server, tmp_path):
+    recipe = tmp_path / "lagged.json"
+    recipe.write_text(json.dumps({
+        "name": "lagged", "sources": ["CAP"],
+        "steps": [{"op": "lag", "inputs": ["CAP"], "args": {"k": 1}, "output": "L"}],
+    }))
+    arguments = {**REPORT, "stratify_recipe": str(recipe), "stratify_output": "NOPE"}
+    error = call(server, "build_report", arguments)["error"]
+    assert error["code"] == INVALID_PARAMS
+    assert error["data"] == {"param": "stratify_output"}

@@ -393,6 +393,107 @@ class TestAnnualToMonthly:
         assert out.values[periods.index("1992-05"), 0] == 1.0
 
 
+# -- calendar-month windows vs a per-month lookup --------------------------------
+
+
+def _rows_by_month(dates, lo, hi):
+    """Rows of months lo..hi-1, looked up one calendar month at a time."""
+    rows = [dates.position(m) for m in range(lo, hi)]
+    return [pos for pos in rows if pos is not None]
+
+
+def _ref_rolling_stat(a, window, stat, min_obs):
+    reduce = {"mean": np.nanmean, "sum": np.nansum, "min": np.nanmin, "max": np.nanmax}
+    out = np.full_like(a.values, np.nan)
+    for i, o in enumerate(a.dates.ordinals):
+        rows = _rows_by_month(a.dates, int(o) - window + 1, int(o) + 1)
+        if not rows:
+            continue
+        block = a.values[rows, :]
+        count = np.count_nonzero(~np.isnan(block), axis=0)
+        with np.errstate(invalid="ignore"):
+            vals = (tr._nan_std(block, count) if stat == "std"
+                    else tr._nan_reduce(block, reduce[stat], count))
+        ok = count >= min_obs
+        out[i, ok] = vals[ok]
+    return out
+
+
+def _ref_rolling_compound(r, window, skip, min_obs):
+    out = np.full_like(r.values, np.nan)
+    for i, o in enumerate(r.dates.ordinals):
+        rows = _rows_by_month(r.dates, int(o) - window, int(o) - skip)
+        if not rows:
+            continue
+        block = r.values[rows, :]
+        count = np.count_nonzero(~np.isnan(block), axis=0)
+        growth = np.prod(np.where(np.isnan(block), 1.0, 1.0 + block), axis=0) - 1.0
+        ok = count >= min_obs
+        out[i, ok] = growth[ok]
+    return out
+
+
+def _ref_annual_to_monthly(a, placement_month, offset, valid_months):
+    out = np.full_like(a.values, np.nan)
+    for i, o in enumerate(a.dates.ordinals):
+        present = ~np.isnan(a.values[i])
+        if int(o) % 12 != placement_month - 1 or not np.any(present):
+            continue
+        for pos in _rows_by_month(a.dates, int(o) + offset, int(o) + offset + valid_months):
+            out[pos, present] = a.values[i][present]
+    return out
+
+
+@pytest.fixture(scope="module")
+def gapped():
+    """Five years of months with a quarter of them absent, four assets, some missing."""
+    rng = np.random.default_rng(7)
+    periods = [f"{y}-{m:02d}" for y in range(1990, 1995) for m in range(1, 13)]
+    periods = [p for p in periods if rng.random() > 0.25]
+    vals = rng.normal(0.01, 0.05, size=(len(periods), 4))
+    vals[rng.random(vals.shape) < 0.15] = np.nan
+    return make_panel("G", periods, ["a", "b", "c", "d"], vals.tolist())
+
+
+def _span(panel) -> int:
+    """Months from the first to the last date; a longer range adds no rows."""
+    return int(panel.dates.ordinals[-1] - panel.dates.ordinals[0]) + 1
+
+
+HUGE = (10 ** 9, 2 ** 70)
+
+
+class TestMonthWindowsMatchPerMonthLookup:
+    @pytest.mark.parametrize("stat", tr.ROLLING_STATS)
+    @pytest.mark.parametrize("window", (1, 2, 5, 12, *HUGE))
+    def test_rolling_stat(self, gapped, window, stat):
+        out = tr.rolling_stat(gapped, window, stat, min_obs=1)
+        expected = _ref_rolling_stat(gapped, min(window, _span(gapped)), stat, 1)
+        np.testing.assert_array_equal(out.values, expected)
+
+    @pytest.mark.parametrize("window, skip", [
+        (12, 1), (3, 0), (6, 2), (HUGE[0], 1), (HUGE[1], 0), (HUGE[1], HUGE[0]),
+    ])
+    def test_rolling_compound_return(self, gapped, window, skip):
+        out = tr.rolling_compound_return(gapped, window, skip, min_obs=1)
+        skip_ref = min(skip, _span(gapped))
+        window_ref = min(window, skip_ref + _span(gapped))
+        expected = _ref_rolling_compound(gapped, window_ref, skip_ref, 1)
+        np.testing.assert_array_equal(out.values, expected)
+
+    @pytest.mark.parametrize("placement_month", (6, 12))
+    @pytest.mark.parametrize("offset, valid_months", [
+        (6, 12), (0, 1), (3, 18), (HUGE[0], 12), (0, HUGE[0]), (HUGE[1], HUGE[1]),
+        (1, HUGE[1]),
+    ])
+    def test_annual_to_monthly(self, gapped, placement_month, offset, valid_months):
+        out = tr.annual_to_monthly(gapped, placement_month, offset, valid_months)
+        expected = _ref_annual_to_monthly(gapped, placement_month,
+                                          min(offset, _span(gapped)),
+                                          min(valid_months, _span(gapped)))
+        np.testing.assert_array_equal(out.values, expected)
+
+
 # -- shared percentile conformance vs the sort-and-interpolate oracle ---------
 
 
