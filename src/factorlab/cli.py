@@ -141,12 +141,8 @@ def cmd_gen(args) -> int:
 def _ingest_sources(args):
     from .ingest import ingest_dataset
 
-    monthly = Path(args.data_dir) / args.monthly
-    annual = Path(args.data_dir) / args.annual
-    for path in (monthly, annual):
-        if not path.exists():
-            _fail(EXIT_VALIDATION, f"input file not found: {path}")
-    return ingest_dataset(monthly, annual)
+    data = Path(args.data_dir)
+    return ingest_dataset(data / args.monthly, data / args.annual)
 
 
 def cmd_ingest(args) -> int:
@@ -189,7 +185,10 @@ def cmd_run(args) -> int:
             print(f"  {i:3d}  {step.op}({', '.join(step.inputs)}) -> {step.output}")
         return EXIT_OK
 
-    ingested = _ingest_sources(args)
+    try:
+        ingested = _ingest_sources(args)
+    except EngineError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     missing = [s for s in spec.sources if s not in ingested.panels]
     if missing:
         _fail(EXIT_VALIDATION, f"recipe sources missing from ingested data: {missing}")

@@ -149,6 +149,8 @@ def evaluate_task(attempt_set: AttemptSet, ks,
 
 def _load_entry(path_str: str, base: Path):
     """A panel referenced as the path of its saved CSV (meta.json alongside)."""
+    if not isinstance(path_str, str):
+        raise DataError(f"manifest entries must be paths, got {path_str!r}")
     path = Path(path_str)
     if not path.is_absolute():
         path = base / path
@@ -161,15 +163,18 @@ def load_manifest(manifest_path) -> list[AttemptSet]:
     """Evaluation manifest: {"tasks": [{task_id, reference, attempts: [path|null]}]}."""
     manifest_path = Path(manifest_path)
     try:
-        doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{manifest_path}: bad JSON: {exc}") from exc
-    tasks = doc.get("tasks")
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{manifest_path}: cannot read: {exc}") from exc
+    tasks = doc.get("tasks") if isinstance(doc, dict) else None
     if not isinstance(tasks, list) or not tasks:
-        raise DataError(f"{manifest_path}: expected a non-empty 'tasks' list")
+        raise DataError(f"{manifest_path}: expected an object with a non-empty 'tasks' list")
     base = manifest_path.parent
     out = []
-    for entry in tasks:
+    for i, entry in enumerate(tasks):
+        if not (isinstance(entry, dict) and {"task_id", "reference"} <= entry.keys()
+                and isinstance(entry.get("attempts", []), list)):
+            raise DataError(f"{manifest_path}: task {i} needs task_id, reference, attempts[]")
         attempts = tuple(
             None if item is None else _load_entry(item, base)
             for item in entry.get("attempts", [])

@@ -10,19 +10,16 @@ already reflected in the input files.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .panel import DateIndex, Panel, month_ordinal
+from .panel import DateIndex, Panel, read_table, reframe
 from .transforms import align_panels, annual_to_monthly
 
 MONTHLY_HEADER = ["date", "asset_id", "ret", "cap", "capco", "exchange_nyse"]
 ANNUAL_KEY_COLUMNS = ["fiscal_end", "asset_id"]
-ANNUAL_CORE_COLUMNS = ["seq", "pstkrv", "pstkl", "pstk"]
 
 
 @dataclass
@@ -35,81 +32,28 @@ class IngestResult:
     skipped_rows: int = 0
 
 
-def _parse_cell(raw: str, lineno: int, column: str, path) -> float:
-    raw = raw.strip()
-    if raw == "":
-        return np.nan
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataError(f"{path} line {lineno}: bad {column} value {raw!r}") from None
-
-
 def ingest_monthly(csv_path) -> IngestResult:
     """Read a security-monthly CSV into RET, CAP, CAPCO, and NYSE source panels.
 
     Screens: cap or capco below zero and ret <= -1 become missing, counted per
-    column. Malformed rows and duplicate (date, asset) keys are errors.
+    column. Malformed rows, duplicate (date, asset) keys and an exchange_nyse
+    other than 0 or 1 are errors.
     """
-    path = Path(csv_path)
-    rows = []
-    seen = set()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MONTHLY_HEADER:
-            raise DataError(f"{path}: expected header {','.join(MONTHLY_HEADER)}")
-        for lineno, parts in enumerate(reader, start=2):
-            if not parts:
-                continue
-            if len(parts) != len(MONTHLY_HEADER):
-                raise DataError(f"{path} line {lineno}: expected {len(MONTHLY_HEADER)} fields")
-            date, asset = parts[0].strip(), parts[1].strip()
-            ordinal = month_ordinal(date)
-            if not asset:
-                raise DataError(f"{path} line {lineno}: empty asset_id")
-            key = (ordinal, asset)
-            if key in seen:
-                raise DataError(f"{path} line {lineno}: duplicate key ({date},{asset})")
-            seen.add(key)
-            ret = _parse_cell(parts[2], lineno, "ret", path)
-            cap = _parse_cell(parts[3], lineno, "cap", path)
-            capco = _parse_cell(parts[4], lineno, "capco", path)
-            nyse = _parse_cell(parts[5], lineno, "exchange_nyse", path)
-            if not np.isnan(nyse) and nyse not in (0.0, 1.0):
-                raise DataError(f"{path} line {lineno}: exchange_nyse must be 0 or 1")
-            rows.append((ordinal, asset, ret, cap, capco, nyse))
-
-    ordinals = sorted({r[0] for r in rows})
-    assets = sorted({r[1] for r in rows})
-    dates = DateIndex.from_ordinals(ordinals)
-    pos_d = {o: i for i, o in enumerate(ordinals)}
-    pos_a = {a: j for j, a in enumerate(assets)}
-
-    grids = {name: np.full((len(dates), len(assets)), np.nan)
-             for name in ("RET", "CAP", "CAPCO", "NYSE")}
-    removed = {"ret": 0, "cap": 0, "capco": 0}
-    for ordinal, asset, ret, cap, capco, nyse in rows:
-        i, j = pos_d[ordinal], pos_a[asset]
-        if not np.isnan(ret) and ret <= -1.0:
-            removed["ret"] += 1
-            ret = np.nan
-        if not np.isnan(cap) and cap < 0:
-            removed["cap"] += 1
-            cap = np.nan
-        if not np.isnan(capco) and capco < 0:
-            removed["capco"] += 1
-            capco = np.nan
-        grids["RET"][i, j] = ret
-        grids["CAP"][i, j] = cap
-        grids["CAPCO"][i, j] = capco
-        grids["NYSE"][i, j] = nyse
-
-    panels = {
-        name: Panel.source(name, dates, assets, grid, params={"file": path.name})
-        for name, grid in grids.items()
-    }
-    return IngestResult(panels=panels, n_rows=len(rows), removed=removed)
+    table = read_table(csv_path, MONTHLY_HEADER[:2], MONTHLY_HEADER[2:])
+    ret, cap, capco, nyse = (table.grids[c] for c in MONTHLY_HEADER[2:])
+    odd = ~np.isnan(nyse) & (nyse != 0.0) & (nyse != 1.0)
+    if odd.any():
+        raise DataError(
+            f"{table.path}: exchange_nyse must be 0 or 1, cell {table.first_cell(odd)}")
+    removed = {}
+    for column, screened in (("ret", ret <= -1.0), ("cap", cap < 0), ("capco", capco < 0)):
+        removed[column] = int(np.count_nonzero(screened))
+        table.grids[column][screened] = np.nan
+    panels = {name: Panel.source(name, table.dates, table.assets, table.grids[column],
+                                 params={"file": table.path.name})
+              for name, column in zip(("RET", "CAP", "CAPCO", "NYSE"), MONTHLY_HEADER[2:])}
+    return IngestResult(panels=panels, n_rows=int(np.count_nonzero(table.keyed)),
+                        removed=removed)
 
 
 def ingest_annual(csv_path, frame: tuple[DateIndex, tuple[str, ...]] | None = None) -> IngestResult:
@@ -120,57 +64,17 @@ def ingest_annual(csv_path, frame: tuple[DateIndex, tuple[str, ...]] | None = No
     given, observations outside it are skipped and counted; otherwise the
     frame comes from the file itself.
     """
-    path = Path(csv_path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ANNUAL_KEY_COLUMNS:
-            raise DataError(f"{path}: expected columns fiscal_end,asset_id,...")
-        columns = [h.strip() for h in header[2:]]
-        if not columns:
-            raise DataError(f"{path}: no fundamental columns")
-        rows = []
-        seen = set()
-        for lineno, parts in enumerate(reader, start=2):
-            if not parts:
-                continue
-            if len(parts) != len(header):
-                raise DataError(f"{path} line {lineno}: expected {len(header)} fields")
-            date, asset = parts[0].strip(), parts[1].strip()
-            ordinal = month_ordinal(date)
-            key = (ordinal, asset)
-            if key in seen:
-                raise DataError(f"{path} line {lineno}: duplicate key ({date},{asset})")
-            seen.add(key)
-            cells = [_parse_cell(raw, lineno, col, path)
-                     for raw, col in zip(parts[2:], columns)]
-            rows.append((ordinal, asset, cells))
-
-    skipped = 0
-    if frame is not None:
-        dates, assets = frame
-        assets = tuple(assets)
-    else:
-        dates = DateIndex.from_ordinals(sorted({r[0] for r in rows}))
-        assets = tuple(sorted({r[1] for r in rows}))
-    pos_a = {a: j for j, a in enumerate(assets)}
-
-    grids = {col: np.full((len(dates), len(assets)), np.nan) for col in columns}
-    for ordinal, asset, cells in rows:
-        i = dates.position(ordinal)
-        j = pos_a.get(asset)
-        if i is None or j is None:
-            skipped += 1
-            continue
-        for col, value in zip(columns, cells):
-            grids[col][i, j] = value
-
+    table = read_table(csv_path, ANNUAL_KEY_COLUMNS)
+    dates, assets = frame or (table.dates, table.assets)
     panels = {
-        col.upper(): Panel.source(col.upper(), dates, assets, grid,
-                                  params={"file": path.name, "column": col})
-        for col, grid in grids.items()
+        col.upper(): Panel.source(
+            col.upper(), dates, assets,
+            reframe(grid, table.dates, dates, table.assets, assets),
+            params={"file": table.path.name, "column": col})
+        for col, grid in table.grids.items()
     }
-    return IngestResult(panels=panels, n_rows=len(rows), skipped_rows=skipped)
+    return IngestResult(panels=panels, n_rows=int(np.count_nonzero(table.keyed)),
+                        skipped_rows=int(np.count_nonzero(table.outside(dates, assets))))
 
 
 def ingest_dataset(monthly_csv, annual_csv) -> IngestResult:

@@ -10,15 +10,19 @@ Scalar time series (factor returns, thresholds) travel as one-column panels
 whose single asset is named "value"; FactorSeries is the thin host-side view.
 
 ``reframe`` is the one frame mapper: every operator that needs a grid or a
-series on another date x asset frame goes through it.
+series on another date x asset frame goes through it. ``read_table`` is the
+one keyed-CSV reader: the monthly and annual ingest files and saved panels
+all parse through it.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import threading
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -272,14 +276,8 @@ class Panel:
         }
 
     def cell(self, period: str, asset: str) -> float:
-        i = self.dates.position(month_ordinal(period))
-        if i is None:
-            return float("nan")
-        try:
-            j = self.assets.index(asset)
-        except ValueError:
-            return float("nan")
-        return float(self.values[i, j])
+        return float(reframe(self.values, self.dates, DateIndex([period]),
+                             self.assets, (asset,))[0, 0])
 
     def value_equal(self, other: "Panel") -> bool:
         """Exact equality of frame, missing mask, and non-missing values."""
@@ -410,6 +408,111 @@ class PanelRegistry:
 # -- persistence -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Table:
+    """A keyed CSV on its own frame, sorted unique periods x sorted asset ids.
+
+    ``grids`` holds one grid per value column, NaN where a cell has no row or
+    a blank field; ``keyed`` marks the cells that have a row.
+    """
+
+    path: Path
+    dates: DateIndex
+    assets: tuple[str, ...]
+    grids: dict[str, np.ndarray]
+    keyed: np.ndarray
+
+    def outside(self, dates: DateIndex, assets: Sequence[str]) -> np.ndarray:
+        """Keyed cells whose period or asset is not in the ``dates`` x ``assets`` frame."""
+        ones = np.ones((len(dates), len(assets)))
+        return self.keyed & (reframe(ones, dates, self.dates, assets, self.assets) != 1.0)
+
+    def first_cell(self, mask: np.ndarray) -> str:
+        """``(period,asset)`` of the first marked cell in date-major order."""
+        i, j = np.argwhere(mask)[0]
+        return f"({self.dates[i]},{self.assets[j]})"
+
+
+def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) -> Table:
+    """Parse a "period, asset, values..." CSV column by column.
+
+    Header fields are compared stripped. With ``columns`` the header must be
+    exactly ``keys + columns``; without, every field after the keys is a value
+    column. Blank lines are skipped, keys are stripped, values follow Python
+    ``float`` and a blank value is missing. A bad row width, period, asset id
+    or number, or a duplicate key, raises ``DataError`` naming the line.
+    """
+    path, keys = Path(path), list(keys)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, skipinitialspace=True)
+            header = [h.strip() for h in next(reader, [])]
+            records = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    expected = keys + list(columns or ["..."])
+    if (header != expected if columns is not None
+            else header[:len(keys)] != keys or len(header) == len(keys)):
+        raise DataError(f"{path}: expected header {','.join(expected)}")
+
+    width = np.fromiter(map(len, records), np.int64, len(records))
+    lines = np.flatnonzero(width) + 2  # file line of each non-blank record
+    bad = np.flatnonzero(width[width > 0] != len(header))
+    if bad.size:
+        raise DataError(f"{path} line {lines[bad[0]]}: expected {len(header)} fields")
+    fields = np.array(list(compress(records, width)), dtype=object).reshape(-1, len(header)).T
+    del records  # the field array now holds the only references to the text
+
+    labels, first, inverse = np.unique(fields[0].astype(str), return_index=True,
+                                       return_inverse=True)
+    ordinals = np.zeros(len(labels), dtype=np.int64)
+    for k in np.argsort(first):  # labels in file order: the earliest bad line is named
+        try:
+            ordinals[k] = month_ordinal(labels[k].strip())
+        except DataError as exc:
+            raise DataError(f"{path} line {lines[first[k]]}: {exc}") from None
+    dates, row = np.unique(ordinals[inverse], return_inverse=True)
+    labels, inverse = np.unique(fields[1].astype(str), return_inverse=True)
+    stripped = np.array([label.strip() for label in labels.tolist()], dtype=str)
+    assets, col = np.unique(stripped[inverse], return_inverse=True)
+    if assets[:1].tolist() == [""]:
+        raise DataError(f"{path} line {lines[np.argmax(col == 0)]}: empty {keys[1]}")
+    flat = row * len(assets) + col
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][np.diff(flat[order]) == 0]
+    if repeats.size:
+        k = repeats.min()
+        raise DataError(f"{path} line {lines[k]}: duplicate key "
+                        f"({fields[0][k].strip()},{fields[1][k].strip()})")
+
+    keyed = np.zeros((len(dates), len(assets)), dtype=bool)
+    keyed[row, col] = True
+    grids = {}
+    for name, raw in zip(header[len(keys):], fields[len(keys):]):
+        grids[name] = np.full(keyed.shape, np.nan)
+        grids[name][row, col] = _numbers(raw, path, name, lines)
+    return Table(path, DateIndex.from_ordinals(dates.tolist()), tuple(assets.tolist()),
+                 grids, keyed)
+
+
+def _numbers(raw: np.ndarray, path: Path, column: str, lines: np.ndarray) -> np.ndarray:
+    """An object array of field strings as float64; a blank field is NaN."""
+    raw[raw == ""] = "nan"
+    try:
+        return raw.astype(np.float64)  # numpy applies Python's float() to each string
+    except ValueError:
+        pass
+    for k, text in enumerate(raw.tolist()):  # rare: a field of tabs, or a bad number
+        try:
+            float(text)
+        except ValueError:
+            if not text.isspace():
+                raise DataError(f"{path} line {lines[k]}: bad number {text.strip()!r} "
+                                f"in column {column}") from None
+            raw[k] = "nan"
+    return raw.astype(np.float64)
+
+
 def save(panel: Panel, directory) -> list[Path]:
     """Write ``<id>.csv`` (long form, missing cells omitted) and ``<id>.meta.json``."""
     if not panel.panel_id:
@@ -419,15 +522,12 @@ def save(panel: Panel, directory) -> list[Path]:
     csv_path = directory / f"{panel.panel_id}.csv"
     meta_path = directory / f"{panel.panel_id}.meta.json"
 
-    lines = ["date,asset,value"]
-    vals = panel.values
-    for i, period in enumerate(panel.dates):
-        row = vals[i]
-        for j, asset in enumerate(panel.assets):
-            v = row[j]
-            if not np.isnan(v):
-                lines.append(f"{period},{asset},{float(v)!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    i, j = np.nonzero(~np.isnan(panel.values))
+    cells = map("{},{},{!r}".format,
+                np.array(panel.dates.periods, dtype=object)[i].tolist(),
+                np.array(panel.assets, dtype=object)[j].tolist(),
+                panel.values[i, j].tolist())
+    csv_path.write_text("\n".join(["date,asset,value", *cells]) + "\n", encoding="utf-8")
 
     span = [panel.dates[0], panel.dates[-1]] if len(panel.dates) else []
     meta = {
@@ -437,7 +537,7 @@ def save(panel: Panel, directory) -> list[Path]:
         "date_span": span,
         "provenance": panel.provenance.to_dict(),
     }
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return [csv_path, meta_path]
 
 
@@ -448,52 +548,27 @@ def load(directory, panel_id: str) -> Panel:
     directory = Path(directory)
     csv_path = directory / f"{panel_id}.csv"
     meta_path = directory / f"{panel_id}.meta.json"
-    if not csv_path.exists():
-        raise DataError(f"missing file {csv_path}")
-    if not meta_path.exists():
-        raise DataError(f"missing file {meta_path}")
+    for path in (csv_path, meta_path):
+        if not path.exists():
+            raise DataError(f"missing file {path}")
 
     try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: bad JSON: {exc}") from exc
-    dates = DateIndex(meta["dates"])
-    assets = tuple(meta["assets"])
-    asset_pos = {a: j for j, a in enumerate(assets)}
-    grid = np.full((len(dates), len(assets)), np.nan)
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{meta_path}: cannot read: {exc}") from exc
+    try:  # a document that is not an object fails on the first lookup
+        dates, assets = DateIndex(meta["dates"]), tuple(meta["assets"])
+        panel_id = str(meta["panel_id"])
+        provenance = ProvenanceRecord.from_dict(meta["provenance"])
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise DataError(f"{meta_path}: bad metadata: {type(exc).__name__}: {exc}") from exc
 
-    text = csv_path.read_text().splitlines()
-    if not text or text[0] != "date,asset,value":
-        raise DataError(f"{csv_path}: expected header 'date,asset,value'")
-    seen = set()
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{csv_path} line {lineno}: expected 3 fields")
-        period, asset, raw = parts
-        i = dates.position(month_ordinal(period))
-        j = asset_pos.get(asset)
-        if i is None or j is None:
-            raise DataError(
-                f"{csv_path} line {lineno}: cell ({period},{asset}) outside metadata frame"
-            )
-        if (i, j) in seen:
-            raise DataError(f"{csv_path} line {lineno}: duplicate cell ({period},{asset})")
-        seen.add((i, j))
-        try:
-            grid[i, j] = float(raw)
-        except ValueError as exc:
-            raise DataError(f"{csv_path} line {lineno}: bad value {raw!r}") from exc
-
-    return Panel(
-        panel_id=str(meta["panel_id"]),
-        dates=dates,
-        assets=assets,
-        values=grid,
-        provenance=ProvenanceRecord.from_dict(meta["provenance"]),
-    )
+    table = read_table(csv_path, ("date", "asset"), ("value",))
+    outside = table.outside(dates, assets)
+    if outside.any():
+        raise DataError(f"{csv_path}: cell {table.first_cell(outside)} outside metadata frame")
+    values = reframe(table.grids["value"], table.dates, dates, table.assets, assets)
+    return Panel(panel_id, dates, assets, values, provenance)
 
 
 def load_registry(directory) -> PanelRegistry:

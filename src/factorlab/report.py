@@ -231,39 +231,26 @@ def resolve_arguments(registry: PanelRegistry, spread, characteristic, cap, size
 # -- rendering ---------------------------------------------------------------
 
 
-def _r4(x) -> float | None:
-    if x is None:
-        return None
-    x = float(x)
-    return None if math.isnan(x) else round(x, 4)
+def _round(x, digits: int) -> float | None:
+    """``x`` rounded to ``digits`` places; None when it is None or NaN."""
+    x = None if x is None else float(x)
+    return None if x is None or math.isnan(x) else round(x, digits)
 
 
-def _r2(x) -> float | None:
-    if x is None:
-        return None
-    x = float(x)
-    return None if math.isnan(x) else round(x, 2)
-
-
-def _f4(x) -> str:
-    v = _r4(x)
-    return "n/a" if v is None else f"{v:.4f}"
-
-
-def _f2(x) -> str:
-    v = _r2(x)
-    return "n/a" if v is None else f"{v:.2f}"
+def _fmt(x, digits: int) -> str:
+    v = _round(x, digits)
+    return "n/a" if v is None else f"{v:.{digits}f}"
 
 
 def _regression_dict(result: RegressionResult) -> dict:
     return {
-        "alpha": _r4(result.alpha),
-        "t_alpha": _r2(result.t_alpha),
+        "alpha": _round(result.alpha, 4),
+        "t_alpha": _round(result.t_alpha, 2),
         "betas": {
-            name: {"coef": _r4(b), "t": _r2(t)}
+            name: {"coef": _round(b, 4), "t": _round(t, 2)}
             for name, b, t in zip(result.factor_names, result.betas, result.t_betas)
         },
-        "r2": _r4(result.r2),
+        "r2": _round(result.r2, 4),
         "n_obs": result.n_obs,
         "se_method": result.se_method,
     }
@@ -281,8 +268,8 @@ def report_document(r: DiagnosticsReport) -> dict:
                 "bucket": row.bucket,
                 "start": row.start,
                 "end": row.end,
-                "security_fraction": _r4(row.security_fraction),
-                "cap_share": _r4(row.cap_share),
+                "security_fraction": _round(row.security_fraction, 4),
+                "cap_share": _round(row.cap_share, 4),
                 "n_months": row.n_months,
             }
             for row in r.section_coverage
@@ -293,14 +280,14 @@ def report_document(r: DiagnosticsReport) -> dict:
     else:
         s = r.section_summary
         doc["summary_statistics"] = {
-            "mean": _r4(s["mean"]),
-            "sd": _r4(s["sd"]),
-            "sharpe_annualized": _r4(s["sharpe_annualized"]),
-            "skewness": _r4(s["skewness"]),
-            "min": _r4(s["min"]),
-            "max": _r4(s["max"]),
+            "mean": _round(s["mean"], 4),
+            "sd": _round(s["sd"], 4),
+            "sharpe_annualized": _round(s["sharpe_annualized"], 4),
+            "skewness": _round(s["skewness"], 4),
+            "min": _round(s["min"], 4),
+            "max": _round(s["max"], 4),
             "n_obs": s["n_obs"],
-            "mean_turnover": _r4(s["mean_turnover"]),
+            "mean_turnover": _round(s["mean_turnover"], 4),
         }
 
     if isinstance(r.section_alphas, str):
@@ -317,8 +304,8 @@ def report_document(r: DiagnosticsReport) -> dict:
             {
                 "size_bin": cell.size_bin,
                 "model": cell.model,
-                "alpha": _r4(cell.result.alpha) if cell.result else None,
-                "t_alpha": _r2(cell.result.t_alpha) if cell.result else None,
+                "alpha": _round(cell.result.alpha, 4) if cell.result else None,
+                "t_alpha": _round(cell.result.t_alpha, 2) if cell.result else None,
                 "note": cell.note,
             }
             for cell in r.section_size
@@ -353,7 +340,7 @@ def render_markdown(r: DiagnosticsReport) -> str:
         for row in cov:
             lines.append(
                 f"| {row['bucket']} | {row['start']}..{row['end']} "
-                f"| {_f4(row['security_fraction'])} | {_f4(row['cap_share'])} "
+                f"| {_fmt(row['security_fraction'], 4)} | {_fmt(row['cap_share'], 4)} "
                 f"| {row['n_months']} |"
             )
     lines.append("")
@@ -366,14 +353,14 @@ def render_markdown(r: DiagnosticsReport) -> str:
     else:
         lines.append("| statistic | value |")
         lines.append("|---|---|")
-        lines.append(f"| mean (monthly) | {_f4(summ['mean'])} |")
-        lines.append(f"| sd (monthly) | {_f4(summ['sd'])} |")
-        lines.append(f"| sharpe (annualized) | {_f4(summ['sharpe_annualized'])} |")
-        lines.append(f"| skewness | {_f4(summ['skewness'])} |")
-        lines.append(f"| min | {_f4(summ['min'])} |")
-        lines.append(f"| max | {_f4(summ['max'])} |")
+        lines.append(f"| mean (monthly) | {_fmt(summ['mean'], 4)} |")
+        lines.append(f"| sd (monthly) | {_fmt(summ['sd'], 4)} |")
+        lines.append(f"| sharpe (annualized) | {_fmt(summ['sharpe_annualized'], 4)} |")
+        lines.append(f"| skewness | {_fmt(summ['skewness'], 4)} |")
+        lines.append(f"| min | {_fmt(summ['min'], 4)} |")
+        lines.append(f"| max | {_fmt(summ['max'], 4)} |")
         lines.append(f"| months | {summ['n_obs']} |")
-        lines.append(f"| mean turnover | {_f4(summ['mean_turnover'])} |")
+        lines.append(f"| mean turnover | {_fmt(summ['mean_turnover'], 4)} |")
     lines.append("")
 
     lines.append(f"## {SECTION_ALPHAS}")
@@ -387,13 +374,13 @@ def render_markdown(r: DiagnosticsReport) -> str:
             lines.append("")
             lines.append("| term | coefficient | t-stat |")
             lines.append("|---|---|---|")
-            lines.append(f"| alpha | {_f4(entry['alpha'])} | {_f2(entry['t_alpha'])} |")
+            lines.append(f"| alpha | {_fmt(entry['alpha'], 4)} | {_fmt(entry['t_alpha'], 2)} |")
             for name in sorted(entry["betas"]):
                 beta = entry["betas"][name]
-                lines.append(f"| {name} | {_f4(beta['coef'])} | {_f2(beta['t'])} |")
+                lines.append(f"| {name} | {_fmt(beta['coef'], 4)} | {_fmt(beta['t'], 2)} |")
             lines.append("")
             lines.append(
-                f"r2 {_f4(entry['r2'])}, n {entry['n_obs']}, se {entry['se_method']}"
+                f"r2 {_fmt(entry['r2'], 4)}, n {entry['n_obs']}, se {entry['se_method']}"
             )
             lines.append("")
 
@@ -407,8 +394,8 @@ def render_markdown(r: DiagnosticsReport) -> str:
         lines.append("|---|---|---|---|---|")
         for cell in size:
             lines.append(
-                f"| {cell['size_bin']} | {cell['model']} | {_f4(cell['alpha'])} "
-                f"| {_f2(cell['t_alpha'])} | {cell['note']} |"
+                f"| {cell['size_bin']} | {cell['model']} | {_fmt(cell['alpha'], 4)} "
+                f"| {_fmt(cell['t_alpha'], 2)} | {cell['note']} |"
             )
     lines.append("")
 

@@ -79,3 +79,53 @@ def test_unknown_spread_is_a_validation_error(workdir):
     directory, _ = workdir
     assert exit_code(directory, "report", "--spread", "NOPE", "--characteristic", "BM",
                      "--model", "CAPM=MKT") == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize("row", [b"1990-01,A0001,xyz,5,5,1", b"1990-01,\xff,0.01,5,5,1"])
+def test_malformed_monthly_csv_is_a_validation_error(workdir, tmp_path, capsys, command, row):
+    directory, _ = workdir
+    (tmp_path / "annual.csv").write_bytes((directory / "annual.csv").read_bytes())
+    (tmp_path / "monthly.csv").write_bytes(b"date,asset_id,ret,cap,capco,exchange_nyse\n" + row)
+    argv = ["run", "hml"] if command == "run" else ["ingest"]
+    assert exit_code(tmp_path, *argv) == cli.EXIT_VALIDATION
+    assert "monthly.csv" in capsys.readouterr().err
+
+
+def test_malformed_saved_panel_is_a_validation_error(workdir, tmp_path):
+    directory, _ = workdir
+    for name in ("MKT.csv", "MKT.meta.json"):
+        (tmp_path / name).write_bytes((directory / name).read_bytes())
+    (tmp_path / "MKT.meta.json").write_text("[]")
+    assert exit_code(tmp_path, "graph", "MKT") == cli.EXIT_VALIDATION
+
+
+def test_simk_on_saved_panels(workdir, tmp_path):
+    directory, _ = workdir
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tasks": [{
+        "task_id": "hml",
+        "reference": str(directory / "HML_spread.csv"),
+        "attempts": [str(directory / "HML_spread.csv"), str(directory / "MKT.csv"), None],
+    }]}))
+    assert factorlab(tmp_path, "simk", str(manifest), "--k", "1", "3") == 0
+    table = json.loads((tmp_path / "simk.json").read_text())
+    sims = table["tasks"][0]["per_attempt_sims"]
+    assert sims[0] == 1.0 and sims[2] == -1.0
+    assert table["aggregate_sim_at_k"]["3"] == 1.0
+
+
+@pytest.mark.parametrize("manifest", [
+    "directory", "missing", b"\xff{}", b"[]",
+    {"tasks": [{"reference": "HML_spread.csv"}]},
+    {"tasks": [{"task_id": "hml", "attempts": []}]},
+])
+def test_simk_bad_manifest_is_a_validation_error(tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    if manifest == "directory":
+        path.mkdir()
+    elif isinstance(manifest, bytes):
+        path.write_bytes(manifest)
+    elif isinstance(manifest, dict):
+        path.write_text(json.dumps(manifest))
+    assert exit_code(tmp_path, "simk", str(path)) == cli.EXIT_VALIDATION

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from factorlab import panel as panelio
 from factorlab.errors import DataError
-from factorlab.ingest import book_equity, book_to_market, ingest_annual, ingest_monthly
+from factorlab.ingest import (
+    MONTHLY_HEADER,
+    IngestResult,
+    book_equity,
+    book_to_market,
+    ingest_annual,
+    ingest_monthly,
+)
+from factorlab.panel import DateIndex, Panel, month_ordinal
 from factorlab.synthetic import GeneratorConfig, generate_synthetic
 
 from .conftest import make_panel
@@ -72,6 +83,37 @@ class TestIngestMonthly:
             assert panelio.load(tmp_path / "panels", panel.panel_id).value_equal(panel)
 
 
+    def test_wrong_width_names_the_line(self, tmp_path):
+        f = tmp_path / "m.csv"
+        write_monthly(f, ["1990-01,a,0.01,5,5,1", "", "1990-02,a,0.01,5,5"])
+        with pytest.raises(DataError, match="line 4: expected 6 fields"):
+            ingest_monthly(f)
+
+    def test_bad_period_names_the_line(self, tmp_path):
+        f = tmp_path / "m.csv"
+        write_monthly(f, ["1990-01,a,0.01,5,5,1", "1990-13,a,0.01,5,5,1", "90-1,a,0,5,5,1"])
+        with pytest.raises(DataError, match=r"line 3: bad month in period '1990-13'"):
+            ingest_monthly(f)
+
+    def test_empty_asset_names_the_line(self, tmp_path):
+        f = tmp_path / "m.csv"
+        write_monthly(f, ["1990-01,a,0.01,5,5,1", "1990-01, ,0.01,5,5,1"])
+        with pytest.raises(DataError, match="line 3: empty asset_id"):
+            ingest_monthly(f)
+
+    def test_exchange_flag_error_names_the_cell(self, tmp_path):
+        f = tmp_path / "m.csv"
+        write_monthly(f, ["1990-02,b,0.01,5,5,1", "1990-02,a,0.01,5,5,2"])
+        with pytest.raises(DataError, match=r"exchange_nyse must be 0 or 1, cell \(1990-02,a\)"):
+            ingest_monthly(f)
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_bytes(b"date,asset_id,ret,cap,capco,exchange_nyse\n1990-01,\xff,0,5,5,1\n")
+        with pytest.raises(DataError, match="cannot read"):
+            ingest_monthly(f)
+
+
 class TestIngestAnnual:
     def test_placed_at_fiscal_end(self, tmp_path):
         f = tmp_path / "a.csv"
@@ -101,6 +143,178 @@ class TestIngestAnnual:
         result = ingest_annual(f, frame=(frame_panel.dates, frame_panel.assets))
         assert result.skipped_rows == 1
         assert result.panels["SEQ"].assets == ("a",)
+
+
+    def test_duplicate_key_names_the_line(self, tmp_path):
+        f = tmp_path / "a.csv"
+        write_annual(f, ["1990-12,a,100,,,", "1991-12,a,100,,,", "", "1990-12, a ,90,,,"])
+        with pytest.raises(DataError, match=r"line 5: duplicate key \(1990-12,a\)"):
+            ingest_annual(f)
+
+
+# -- the per-row readers that panel.read_table replaced, kept as references ----------
+
+
+def _reference_cell(raw: str, lineno: int, column: str, path) -> float:
+    raw = raw.strip()
+    if raw == "":
+        return np.nan
+    try:
+        return float(raw)
+    except ValueError:
+        raise DataError(f"{path} line {lineno}: bad {column} value {raw!r}") from None
+
+
+def reference_ingest_monthly(csv_path) -> IngestResult:
+    path = Path(csv_path)
+    rows = []
+    seen = set()
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader, None) == MONTHLY_HEADER
+        for lineno, parts in enumerate(reader, start=2):
+            if not parts:
+                continue
+            assert len(parts) == len(MONTHLY_HEADER)
+            date, asset = parts[0].strip(), parts[1].strip()
+            ordinal = month_ordinal(date)
+            assert asset and (ordinal, asset) not in seen
+            seen.add((ordinal, asset))
+            cells = [_reference_cell(raw, lineno, col, path)
+                     for raw, col in zip(parts[2:], MONTHLY_HEADER[2:])]
+            assert np.isnan(cells[3]) or cells[3] in (0.0, 1.0)
+            rows.append((ordinal, asset, *cells))
+
+    ordinals = sorted({r[0] for r in rows})
+    assets = sorted({r[1] for r in rows})
+    dates = DateIndex.from_ordinals(ordinals)
+    pos_d = {o: i for i, o in enumerate(ordinals)}
+    pos_a = {a: j for j, a in enumerate(assets)}
+    grids = {name: np.full((len(dates), len(assets)), np.nan)
+             for name in ("RET", "CAP", "CAPCO", "NYSE")}
+    removed = {"ret": 0, "cap": 0, "capco": 0}
+    for ordinal, asset, ret, cap, capco, nyse in rows:
+        i, j = pos_d[ordinal], pos_a[asset]
+        if not np.isnan(ret) and ret <= -1.0:
+            removed["ret"] += 1
+            ret = np.nan
+        if not np.isnan(cap) and cap < 0:
+            removed["cap"] += 1
+            cap = np.nan
+        if not np.isnan(capco) and capco < 0:
+            removed["capco"] += 1
+            capco = np.nan
+        grids["RET"][i, j] = ret
+        grids["CAP"][i, j] = cap
+        grids["CAPCO"][i, j] = capco
+        grids["NYSE"][i, j] = nyse
+    panels = {name: Panel.source(name, dates, assets, grid, params={"file": path.name})
+              for name, grid in grids.items()}
+    return IngestResult(panels=panels, n_rows=len(rows), removed=removed)
+
+
+def reference_ingest_annual(csv_path, frame=None) -> IngestResult:
+    path = Path(csv_path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        columns = [h.strip() for h in header[2:]]
+        rows = []
+        seen = set()
+        for lineno, parts in enumerate(reader, start=2):
+            if not parts:
+                continue
+            assert len(parts) == len(header)
+            date, asset = parts[0].strip(), parts[1].strip()
+            ordinal = month_ordinal(date)
+            assert (ordinal, asset) not in seen
+            seen.add((ordinal, asset))
+            rows.append((ordinal, asset, [_reference_cell(raw, lineno, col, path)
+                                          for raw, col in zip(parts[2:], columns)]))
+    skipped = 0
+    if frame is not None:
+        dates, assets = frame[0], tuple(frame[1])
+    else:
+        dates = DateIndex.from_ordinals(sorted({r[0] for r in rows}))
+        assets = tuple(sorted({r[1] for r in rows}))
+    pos_a = {a: j for j, a in enumerate(assets)}
+    grids = {col: np.full((len(dates), len(assets)), np.nan) for col in columns}
+    for ordinal, asset, cells in rows:
+        i = dates.position(ordinal)
+        j = pos_a.get(asset)
+        if i is None or j is None:
+            skipped += 1
+            continue
+        for col, value in zip(columns, cells):
+            grids[col][i, j] = value
+    panels = {col.upper(): Panel.source(col.upper(), dates, assets, grid,
+                                        params={"file": path.name, "column": col})
+              for col, grid in grids.items()}
+    return IngestResult(panels=panels, n_rows=len(rows), skipped_rows=skipped)
+
+
+def assert_same_result(got: IngestResult, want: IngestResult):
+    assert list(got.panels) == list(want.panels)
+    for name, panel in want.panels.items():
+        assert got.panels[name].value_equal(panel), name
+        assert got.panels[name].provenance == panel.provenance
+    assert (got.n_rows, got.removed, got.skipped_rows) == \
+        (want.n_rows, want.removed, want.skipped_rows)
+
+
+def test_column_reader_matches_row_reference_on_oracle_data(synthetic_dir):
+    monthly, annual = synthetic_dir / "monthly.csv", synthetic_dir / "annual.csv"
+    got = ingest_monthly(monthly)
+    assert_same_result(got, reference_ingest_monthly(monthly))
+    ret = got.panels["RET"]
+    frame = (ret.dates, ret.assets)
+    assert_same_result(ingest_annual(annual, frame=frame),
+                       reference_ingest_annual(annual, frame=frame))
+    assert_same_result(ingest_annual(annual), reference_ingest_annual(annual))
+
+
+def test_column_reader_matches_row_reference_on_an_irregular_file(tmp_path):
+    """Blank lines, padded fields, gapped and unsorted months, screened and
+    blank values, and annual rows outside the monthly frame on both axes."""
+    monthly = tmp_path / "m.csv"
+    monthly.write_text("\n".join([
+        " date , asset_id,ret ,cap,capco , exchange_nyse",
+        "1990-04,b,0.02,20,22,0",
+        "",
+        " 1990-01 , a , 0.01 , 10 , 11 , 1 ",
+        "1990-01,c,-1.0,-3,5,",
+        "",
+        "1990-04,a,,10,-11,1",
+        "1990-07,c,1e-3,1_000,inf,0",
+        "1990-01,b,-0.5,  ,nan,\t",
+        "",
+    ]) + "\n")
+    annual = tmp_path / "a.csv"
+    annual.write_text("\n".join([
+        "fiscal_end , asset_id ,seq, pstkrv,pstkl,pstk ",
+        "1990-04,a,100,,5,",
+        "1989-12,a,90,1,,",
+        "",
+        "1990-07, c ,50,,, 2",
+        "1990-04,zz,70,,,",
+        "1990-05,b,60,3,,",
+        "1990-01,b, ,,,",
+    ]) + "\n")
+    with pytest.raises(AssertionError):  # the old monthly reader took the header unstripped
+        reference_ingest_monthly(monthly)
+    lines = monthly.read_text().splitlines()
+    monthly.write_text("\n".join([",".join(MONTHLY_HEADER)] + lines[1:]) + "\n")
+
+    got = ingest_monthly(monthly)
+    assert_same_result(got, reference_ingest_monthly(monthly))
+    assert got.removed == {"ret": 1, "cap": 1, "capco": 1}
+    assert got.panels["RET"].dates.periods == ("1990-01", "1990-04", "1990-07")
+    ret = got.panels["RET"]
+    frame = (ret.dates, ret.assets)
+    framed = ingest_annual(annual, frame=frame)
+    assert_same_result(framed, reference_ingest_annual(annual, frame=frame))
+    assert framed.skipped_rows == 3
+    assert_same_result(ingest_annual(annual), reference_ingest_annual(annual))
 
 
 class TestBookEquity:

@@ -152,6 +152,44 @@ class TestRegistry:
             reg.get("A").values[0, 0] = 5.0
 
 
+META = {"panel_id": "P", "assets": ["a"], "dates": ["1990-01"], "date_span": [],
+        "provenance": {"op_name": "source", "params": {}, "input_ids": [], "created_seq": 1}}
+
+
+class TestReadTable:
+    def test_value_columns_follow_the_keys(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("d,id,x,y\n1990-03,b,1,\n1990-01,a,2,3\n")
+        table = panelio.read_table(f, ["d", "id"])
+        assert table.dates.periods == ("1990-01", "1990-03")
+        assert table.assets == ("a", "b")
+        assert list(table.grids) == ["x", "y"]
+        assert table.keyed.tolist() == [[True, False], [False, True]]
+        np.testing.assert_array_equal(table.grids["y"], [[3.0, np.nan], [np.nan, np.nan]])
+
+    @pytest.mark.parametrize("header, columns, message", [
+        ("d,id,x,y", ["x"], "expected header d,id,x"),
+        ("d,ID,x", None, r"expected header d,id,\.\.\."),
+        ("d,id", None, r"expected header d,id,\.\.\."),
+        ("", None, "expected header"),
+    ])
+    def test_header_rules(self, tmp_path, header, columns, message):
+        f = tmp_path / "t.csv"
+        f.write_text(header + "\n")
+        with pytest.raises(DataError, match=message):
+            panelio.read_table(f, ["d", "id"], columns)
+
+    def test_bad_number_names_the_line_and_column(self, tmp_path):
+        f = tmp_path / "t.csv"
+        f.write_text("d,id,x,y\n1990-01,a,1,2\n\n1990-02,a,3,0x1\n")
+        with pytest.raises(DataError, match=r"line 4: bad number '0x1' in column y"):
+            panelio.read_table(f, ["d", "id"])
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            panelio.read_table(tmp_path / "none.csv", ["d", "id"])
+
+
 class TestSaveLoad:
     def test_missing_cells_omitted(self, tmp_path):
         p = make_panel("P", ["1990-01", "1990-02"], ["a", "b"],
@@ -209,6 +247,40 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="outside metadata frame"):
             panelio.load(tmp_path, "P")
 
+    def test_load_duplicate_cell_names_the_line(self, tmp_path):
+        panelio.save(make_panel("P", ["1990-01"], ["a", "b"], [[1.0, 2.0]]), tmp_path)
+        csv_path = tmp_path / "P.csv"
+        csv_path.write_text(csv_path.read_text() + "\n1990-01,b,9.0\n")
+        with pytest.raises(DataError, match=r"line 5: duplicate key \(1990-01,b\)"):
+            panelio.load(tmp_path, "P")
+
+    def test_load_wrong_width_names_the_line(self, tmp_path):
+        panelio.save(make_panel("P", ["1990-01"], ["a", "b"], [[1.0, 2.0]]), tmp_path)
+        csv_path = tmp_path / "P.csv"
+        csv_path.write_text(csv_path.read_text() + "1990-01,b\n")
+        with pytest.raises(DataError, match="line 4: expected 3 fields"):
+            panelio.load(tmp_path, "P")
+
+    @pytest.mark.parametrize("meta", [
+        [], "P", 3, None,
+        *({k: v for k, v in META.items() if k != key} for key in META if key != "date_span"),
+        {**META, "dates": 5}, {**META, "dates": [199001]}, {**META, "assets": 7},
+        {**META, "provenance": "source"}, {**META, "provenance": {"params": {}}},
+    ])
+    def test_load_rejects_malformed_metadata(self, tmp_path, meta):
+        panelio.save(make_panel("P", ["1990-01"], ["a"], [[1.0]]), tmp_path)
+        (tmp_path / "P.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match="P.meta.json: bad metadata"):
+            panelio.load(tmp_path, "P")
+
+    @pytest.mark.parametrize("name", ["P.csv", "P.meta.json"])
+    def test_load_rejects_a_file_that_is_not_utf8(self, tmp_path, name):
+        panelio.save(make_panel("P", ["1990-01"], ["a"], [[1.0]]), tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes().replace(b"a", b"\xe9"))
+        with pytest.raises(DataError, match="cannot read"):
+            panelio.load(tmp_path, "P")
+
     def test_load_registry_restores_sequence(self, tmp_path):
         reg = PanelRegistry()
         a = make_panel("A", ["1990-01"], ["x"], [[1.0]])
@@ -253,19 +325,38 @@ class TestExportGraph:
             export_graph(reg, "missing")
 
 
+def reference_save_text(panel: Panel) -> str:
+    """The per-cell writer that save's one-pass writer replaced."""
+    lines = ["date,asset,value"]
+    for i, period in enumerate(panel.dates):
+        for j, asset in enumerate(panel.assets):
+            v = panel.values[i, j]
+            if not np.isnan(v):
+                lines.append(f"{period},{asset},{float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     values=st.lists(
         st.lists(
-            st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False)),
+            st.one_of(st.none(), st.floats(allow_nan=False)),
             min_size=3, max_size=3,
         ),
         min_size=1, max_size=6,
-    )
+    ),
+    gaps=st.lists(st.integers(1, 30), min_size=6, max_size=6),
 )
-def test_save_load_round_trip_property(values, tmp_path_factory):
+def test_save_load_round_trip_property(values, gaps, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("rt")
-    periods = [f"1990-{m + 1:02d}" for m in range(len(values))]
-    p = make_panel("RT", periods, ["a", "b", "c"], values)
-    panelio.save(p, tmp)
-    assert panelio.load(tmp, "RT").value_equal(p)
+    ordinals = np.cumsum([month_ordinal("1990-01")] + gaps)[:len(values)]
+    dates = DateIndex.from_ordinals(ordinals.tolist())
+    p = make_panel("RT", dates.periods, ["a", "b", "c"], values)
+    csv_path, _ = panelio.save(p, tmp)
+    assert csv_path.read_text() == reference_save_text(p)
+    loaded = panelio.load(tmp, "RT")
+    assert loaded.value_equal(p)
+    again = tmp / "again"
+    panelio.save(loaded, again)
+    for name in ("RT.csv", "RT.meta.json"):
+        assert (again / name).read_bytes() == (tmp / name).read_bytes()

@@ -140,6 +140,28 @@ def test_load_source_refuses_a_path_outside_the_directory(server, tmp_path):
     assert "invalid panel id" in error["message"]
 
 
+@pytest.mark.parametrize("case", ["not_an_object", "dates", "assets", "panel_id",
+                                  "provenance", "csv_not_utf8"])
+def test_load_source_of_a_malformed_saved_panel_is_a_runtime_error(server, tmp_path, case):
+    panelio.save(server.registry.get("S"), tmp_path)
+    meta_path = tmp_path / "S.meta.json"
+    meta = json.loads(meta_path.read_text())
+    if case == "csv_not_utf8":
+        csv_path = tmp_path / "S.csv"
+        csv_path.write_bytes(b"\xff" + csv_path.read_bytes())
+    elif case == "not_an_object":
+        meta_path.write_text(json.dumps([meta]))
+    else:
+        del meta[case]
+        meta_path.write_text(json.dumps(meta))
+    fresh = ToolServer()
+    error = call(fresh, "load_source", {"directory": str(tmp_path), "panel_id": "S"})["error"]
+    assert error["code"] == RUNTIME_ERROR
+    expected = "S.csv: cannot read" if case == "csv_not_utf8" else "S.meta.json: bad metadata"
+    assert expected in error["message"]
+    assert "S" not in fresh.registry
+
+
 # -- build_report ------------------------------------------------------------------
 
 REPORT = {"spread": "S", "characteristic": "CHAR", "cap": "CAP", "size_bins": "SB",
