@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from factorlab import cli
 
 RUN_LOG_KEYS = {"recipe", "params", "sources", "outputs", "steps", "flags", "ingest_removed"}
+GOLDEN = Path(__file__).parent / "golden"
 STEP_KEYS = {"step", "op", "output", "panel_id", "n_dates", "n_assets", "n_nonmissing",
              "n_months_nonnull", "seconds"}
 
@@ -60,6 +62,16 @@ def test_report_graph_and_plot(workdir):
     assert (directory / "HML_spread.dot").exists()
     assert factorlab(directory, "plot", "HML_spread", "MKT") == 0
     assert (directory / "HML_spread_vs_MKT.svg").exists()
+
+
+def test_report_matches_the_golden_files(workdir, tmp_path):
+    directory, _ = workdir
+    assert cli.main(["--data-dir", str(directory), "--out-dir", str(tmp_path), "report",
+                     "--spread", "HML_spread", "--characteristic", "BM", "--model", "CAPM=MKT",
+                     "--stratify-recipe", "hml", "--weights", "W_SV"]) == 0
+    for suffix in (".md", ".json"):
+        name = f"report_HML_spread{suffix}"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_dry_run_prints_the_plan(workdir, capsys):
