@@ -10,7 +10,6 @@ from .errors import (
 )
 from .panel import (
     DateIndex,
-    FactorSeries,
     Panel,
     PanelRegistry,
     ProvenanceRecord,
@@ -27,7 +26,6 @@ __all__ = [
     "DataError",
     "DateIndex",
     "EngineError",
-    "FactorSeries",
     "Panel",
     "PanelRegistry",
     "ProvenanceRecord",

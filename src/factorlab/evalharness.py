@@ -24,21 +24,17 @@ import numpy as np
 
 from .errors import AlignmentError, DataError
 from . import panel as panelio
-from .panel import FactorSeries, Panel, reframe
+from .panel import Panel, reframe
 
 FAILED_ATTEMPT_SCORE = -1.0
 
 
-def align(a, b) -> tuple[np.ndarray, np.ndarray]:
+def align(a: Panel, b: Panel) -> tuple[np.ndarray, np.ndarray]:
     """Paired value vectors over the common non-missing support.
 
-    Accepts panels or series; panels flatten in (date, asset) order after
-    intersecting both axes. Empty overlap is an error.
+    Panels (series are one-column panels) flatten in (date, asset) order
+    after intersecting both axes. Empty overlap is an error.
     """
-    if isinstance(a, FactorSeries):
-        a = a.to_panel()
-    if isinstance(b, FactorSeries):
-        b = b.to_panel()
     dates = a.dates.intersection(b.dates)
     b_assets = set(b.assets)
     assets = tuple(x for x in a.assets if x in b_assets)
@@ -53,15 +49,21 @@ def align(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|), in [-1, 1]; zero-norm vectors are an error."""
+    """u.v / (|u||v|), in [-1, 1]; zero-norm vectors are an error.
+
+    Each vector is first divided by its largest magnitude. Cosine is
+    scale-invariant, and the scaling keeps squares of tiny entries from
+    underflowing into subnormals, where the dot products lose their digits.
+    """
     u = np.asarray(u, dtype=np.float64).reshape(-1)
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if u.shape != v.shape or u.size < 1:
         raise DataError("cosine needs equal-length non-empty vectors")
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+    su, sv = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
+    if su == 0.0 or sv == 0.0:
         raise DataError("cosine undefined for a zero-norm vector")
-    return float(np.dot(u, v) / (nu * nv))
+    u, v = u / su, v / sv
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def sim_at_k(attempt_sims, k: int) -> float:
@@ -102,7 +104,7 @@ def aggregate_simk(per_task_values) -> float:
 class AttemptSet:
     task_id: str
     attempts: tuple
-    reference: Panel | FactorSeries
+    reference: Panel
 
     def __post_init__(self):
         if len(self.attempts) < 1:

@@ -5,7 +5,7 @@ tool server derives its callable-tool descriptors from the same table, so
 static validation and the wire schema cannot drift apart. Both run a step
 through ``apply_step``, so they compute, check and record it the same way.
 Executors return fully-provenanced panels; operators whose natural result
-is a per-date scalar series come back as one-column panels.
+is a per-date scalar series return a one-column panel.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ingest, portfolio, transforms
 from .errors import EngineError, RegistryError, StepExecutionError
-from .panel import FactorSeries, Panel, PanelRegistry
+from .panel import Panel, PanelRegistry
 
 
 class ArgError(EngineError):
@@ -179,10 +179,7 @@ def validate_args(spec: OperatorSpec, args: dict, n_inputs: int) -> dict:
 def execute_operator(spec: OperatorSpec, inputs: Sequence[Panel], args: dict,
                      flags: list[str] | None = None) -> Panel:
     """Run a validated operator; always returns a provenance-complete Panel."""
-    result = spec.fn(list(inputs), args, flags if flags is not None else [])
-    if isinstance(result, FactorSeries):
-        raise EngineError(f"op {spec.name!r} executor returned a bare series")
-    return result
+    return spec.fn(list(inputs), args, flags if flags is not None else [])
 
 
 def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args: dict,
@@ -222,12 +219,6 @@ def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args:
         "seconds": round(time.perf_counter() - started, 6),
         "flags": flags,
     }
-
-
-def _series_panel(series: FactorSeries, op_name: str, args: dict,
-                  inputs: Sequence[Panel]) -> Panel:
-    params = {k: v for k, v in args.items() if v is not None}
-    return series.to_panel(op_name=op_name, params=params, inputs=inputs)
 
 
 # -- executors ----------------------------------------------------------------
@@ -273,8 +264,7 @@ def _run_compare(inputs, args, flags):
 
 def _run_xs_percentile_row(inputs, args, flags):
     universe = inputs[1] if len(inputs) > 1 else None
-    series = transforms.xs_percentile_row(inputs[0], args["pct"], universe=universe)
-    return _series_panel(series, "xs_percentile_row", args, inputs)
+    return transforms.xs_percentile_row(inputs[0], args["pct"], universe=universe)
 
 
 def _run_lag(inputs, args, flags):
@@ -320,8 +310,7 @@ def _run_weights(inputs, args, flags):
 
 
 def _run_portfolio_return(inputs, args, flags):
-    series = portfolio.portfolio_return(inputs[0], inputs[1], flags=flags)
-    return _series_panel(series, "portfolio_return", args, inputs)
+    return portfolio.portfolio_return(inputs[0], inputs[1], flags=flags)
 
 
 def _run_sort_2x3(inputs, args, flags):
@@ -330,20 +319,15 @@ def _run_sort_2x3(inputs, args, flags):
 
 
 def _run_spread_2x3(inputs, args, flags):
-    legs = [p.to_series(name) for p, name in zip(inputs, portfolio.SORT_CELLS_2X3)]
-    series = portfolio.spread_2x3(legs)
-    return _series_panel(series, "spread_2x3", args, inputs)
+    return portfolio.spread_2x3(inputs)
 
 
 def _run_spread_topbottom(inputs, args, flags):
-    series = portfolio.spread_topbottom(inputs[0].to_series("top"),
-                                        inputs[1].to_series("bottom"))
-    return _series_panel(series, "spread_topbottom", args, inputs)
+    return portfolio.spread_topbottom(inputs[0], inputs[1])
 
 
 def _run_turnover(inputs, args, flags):
-    series = portfolio.turnover(inputs[0])
-    return _series_panel(series, "turnover", args, inputs)
+    return portfolio.turnover(inputs[0])
 
 
 # -- cross-field checks ---------------------------------------------------------

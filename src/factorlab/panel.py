@@ -6,8 +6,10 @@ explicit missing marker. Panels never mutate after registration; every
 operation produces a new panel carrying a ProvenanceRecord, so the registry
 forms a directed acyclic graph from raw inputs to final outputs.
 
-Scalar time series (factor returns, thresholds) travel as one-column panels
-whose single asset is named "value"; FactorSeries is the thin host-side view.
+A per-date scalar series (factor returns, thresholds, turnover) is a
+one-column panel whose single asset is named "value". Operators that produce
+one derive it like any other panel, so a series carries provenance from the
+start, and consumers read its column with ``values[:, 0]``.
 
 ``reframe`` is the one frame mapper: every operator that needs a grid or a
 series on another date x asset frame goes through it. ``read_table`` is the
@@ -292,48 +294,16 @@ class Panel:
     def is_series(self) -> bool:
         return self.n_assets == 1
 
-    def to_series(self, name: str | None = None) -> "FactorSeries":
+    def to_series(self, name: str | None = None) -> "Panel":
+        """This panel as a per-date series, relabelled ``name`` when given.
+
+        A series is a one-column panel, so a wider panel is a ``DataError``.
+        The panel comes back itself, or as an unregistered copy whose
+        ``panel_id`` is ``name``; consumers label a series by its id.
+        """
         if not self.is_series():
             raise DataError(f"panel {self.panel_id!r} has {self.n_assets} columns, expected 1")
-        return FactorSeries(
-            dates=self.dates,
-            values=self.values[:, 0].copy(),
-            name=name or self.panel_id or SERIES_ASSET,
-        )
-
-
-@dataclass(frozen=True)
-class FactorSeries:
-    """Per-date scalar series (factor returns, thresholds, turnover)."""
-
-    dates: DateIndex
-    values: np.ndarray
-    name: str = SERIES_ASSET
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if vals.shape[0] != len(self.dates):
-            raise DataError("series length does not match date index")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def to_panel(self, op_name="series", params=None, inputs=()) -> Panel:
-        return Panel(
-            panel_id="",
-            dates=self.dates,
-            assets=(SERIES_ASSET,),
-            values=self.values.reshape(-1, 1),
-            provenance=ProvenanceRecord(
-                op_name, encode_params(params), tuple(p.panel_id for p in inputs)
-            ),
-        )
-
-    def nonmissing(self) -> np.ndarray:
-        return ~np.isnan(self.values)
-
-    def dropna(self) -> np.ndarray:
-        return self.values[self.nonmissing()]
+        return self if name is None or name == self.panel_id else replace(self, panel_id=name)
 
 
 class PanelRegistry:

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 from . import transforms
 from .errors import DataError, RecipeError, RegistryError, StepExecutionError
 from .ops import ArgError, apply_step, get_operator, validate_args
-from .panel import FactorSeries, Panel, PanelRegistry
+from .panel import Panel, PanelRegistry
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def execute(spec: PipelineSpec, registry: PanelRegistry) -> ExecutionResult:
 def run_recipe(spec: PipelineSpec, sources: Mapping[str, Panel],
                registry: PanelRegistry | None = None) -> tuple[PanelRegistry, ExecutionResult]:
     """Register the given source panels and execute the recipe against them."""
-    registry = registry or PanelRegistry()
+    registry = PanelRegistry() if registry is None else registry
     for name in spec.sources:
         if name not in sources:
             raise RegistryError(f"recipe source {name!r} not provided")
@@ -198,7 +198,7 @@ def run_recipe(spec: PipelineSpec, sources: Mapping[str, Panel],
 
 
 def make_spread_builder(spec: PipelineSpec, sources: Mapping[str, Panel],
-                        output: str) -> Callable[[Panel | None], FactorSeries]:
+                        output: str) -> Callable[[Panel | None], Panel]:
     """Spread construction restricted to an arbitrary asset universe.
 
     The returned callable masks every source panel by the universe (missing
@@ -208,7 +208,7 @@ def make_spread_builder(spec: PipelineSpec, sources: Mapping[str, Panel],
     if output not in {s.output for s in spec.steps}:
         raise RecipeError(f"recipe {spec.name!r} has no output {output!r}")
 
-    def build(universe: Panel | None) -> FactorSeries:
+    def build(universe: Panel | None) -> Panel:
         restricted = {}
         for name in spec.sources:
             panel = sources[name]
@@ -220,7 +220,7 @@ def make_spread_builder(spec: PipelineSpec, sources: Mapping[str, Panel],
                                                 masked.values)
         registry, result = run_recipe(spec, restricted)
         panel_id = result.outputs[output]
-        return registry.get(panel_id).to_series(name=output)
+        return registry.get(panel_id).to_series()
 
     return build
 

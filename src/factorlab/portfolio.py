@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .panel import DateIndex, FactorSeries, Panel, reframe
+from .panel import SERIES_ASSET, DateIndex, Panel, reframe
 from .transforms import align_panels
 
 SORT_CELLS_2X3 = ("SG", "SN", "SV", "BG", "BN", "BV")
@@ -54,8 +54,8 @@ def weights_from_membership(member: Panel, weight_by: Panel | None = None,
     return Panel.derive("weights_from_membership", params, inputs, dates, assets, out)
 
 
-def portfolio_return(w: Panel, r: Panel, flags: list[str] | None = None) -> FactorSeries:
-    """Realized next-month portfolio returns from a weight panel.
+def portfolio_return(w: Panel, r: Panel, flags: list[str] | None = None) -> Panel:
+    """Realized next-month portfolio returns from a weight panel, as a series.
 
     For each formation date t with weights, the return stamped at calendar
     month t+1 is the weight-renormalized average of r at t+1 over assets with
@@ -84,11 +84,8 @@ def portfolio_return(w: Panel, r: Panel, flags: list[str] | None = None) -> Fact
             continue
         stamped.append(int(o) + 1)
         values.append(float(np.sum((wrow[live] / total) * rrow[live])))
-    return FactorSeries(
-        dates=DateIndex.from_ordinals(stamped),
-        values=np.array(values, dtype=np.float64),
-        name="portfolio_return",
-    )
+    return Panel.derive("portfolio_return", {}, [w, r], DateIndex.from_ordinals(stamped),
+                        (SERIES_ASSET,), np.array(values, dtype=np.float64).reshape(-1, 1))
 
 
 def independent_sort_2x3(size_bins: Panel, value_bins: Panel) -> dict[str, Panel]:
@@ -119,30 +116,31 @@ def independent_sort_2x3(size_bins: Panel, value_bins: Panel) -> dict[str, Panel
     return out
 
 
-def spread_2x3(legs: dict[str, FactorSeries] | Sequence[FactorSeries],
-               name: str = "spread") -> FactorSeries:
-    """0.5*(SV+BV) - 0.5*(SG+BG) per date; missing if any required leg is missing."""
+def spread_2x3(legs: dict[str, Panel] | Sequence[Panel]) -> Panel:
+    """0.5*(SV+BV) - 0.5*(SG+BG) per date; missing if any required leg is missing.
+
+    The legs are series (one-column panels) keyed or ordered SG, SN, SV, BG, BN, BV.
+    """
     if isinstance(legs, dict):
-        series = [legs[c] for c in SORT_CELLS_2X3]
-    else:
-        series = list(legs)
-        if len(series) != 6:
-            raise DataError("spread_2x3 takes six legs ordered SG, SN, SV, BG, BN, BV")
-    dates = functools.reduce(DateIndex.union, [leg.dates for leg in series])
-    sg, _, sv, bg, _, bv = [reframe(leg.values, leg.dates, dates) for leg in series]
+        legs = [legs[c] for c in SORT_CELLS_2X3]
+    elif len(legs) != 6:
+        raise DataError("spread_2x3 takes six legs ordered SG, SN, SV, BG, BN, BV")
+    legs = [leg.to_series() for leg in legs]
+    dates = functools.reduce(DateIndex.union, [leg.dates for leg in legs])
+    sg, _, sv, bg, _, bv = [reframe(leg.values, leg.dates, dates) for leg in legs]
     values = 0.5 * (sv + bv) - 0.5 * (sg + bg)
-    return FactorSeries(dates=dates, values=values, name=name)
+    return Panel.derive("spread_2x3", {}, legs, dates, (SERIES_ASSET,), values)
 
 
-def spread_topbottom(top: FactorSeries, bottom: FactorSeries,
-                     name: str = "spread") -> FactorSeries:
-    """Top leg minus bottom leg per date."""
+def spread_topbottom(top: Panel, bottom: Panel) -> Panel:
+    """Top leg minus bottom leg per date, both series (one-column panels)."""
+    top, bottom = top.to_series(), bottom.to_series()
     dates = top.dates.union(bottom.dates)
     t, b = (reframe(leg.values, leg.dates, dates) for leg in (top, bottom))
-    return FactorSeries(dates=dates, values=t - b, name=name)
+    return Panel.derive("spread_topbottom", {}, [top, bottom], dates, (SERIES_ASSET,), t - b)
 
 
-def turnover(w: Panel) -> FactorSeries:
+def turnover(w: Panel) -> Panel:
     """Half the sum of absolute weight changes between consecutive weight rows.
 
     Missing weights count as zero, so a full portfolio rotation scores 1.0.
@@ -151,8 +149,5 @@ def turnover(w: Panel) -> FactorSeries:
         raise DataError("turnover needs at least two weight dates")
     grid = np.where(np.isnan(w.values), 0.0, w.values)
     diffs = 0.5 * np.sum(np.abs(grid[1:] - grid[:-1]), axis=1)
-    return FactorSeries(
-        dates=DateIndex(list(w.dates)[1:]),
-        values=diffs,
-        name="turnover",
-    )
+    return Panel.derive("turnover", {}, [w], DateIndex(list(w.dates)[1:]),
+                        (SERIES_ASSET,), diffs.reshape(-1, 1))

@@ -19,7 +19,7 @@ import numpy as np
 from . import pipeline
 from .errors import EngineError
 from .ops import ArgError
-from .panel import FactorSeries, Panel, PanelRegistry
+from .panel import Panel, PanelRegistry
 from .portfolio import turnover as turnover_op
 from .riskstats import (
     CoverageRow,
@@ -53,25 +53,29 @@ class DiagnosticsReport:
 
 
 def build_report(
-    spread: FactorSeries,
+    spread: Panel,
     char: Panel,
     cap: Panel,
     size_bins: Panel,
-    models: Mapping[str, Sequence[FactorSeries]],
-    spread_builder: Callable[[Panel], FactorSeries] | None = None,
+    models: Mapping[str, Sequence[Panel]],
+    spread_builder: Callable[[Panel], Panel] | None = None,
     weight_panel: Panel | None = None,
     recipe_reference: str = "",
     se_method: str = "ols",
     nw_lags: int = 0,
 ) -> DiagnosticsReport:
-    """Assemble all four sections; section-level failures degrade to markers."""
-    live = spread.nonmissing()
+    """Assemble all four sections; section-level failures degrade to markers.
+
+    ``spread`` and the model factors are series (one-column panels); the
+    report names the factor and the betas by their panel ids.
+    """
+    live = ~np.isnan(spread.to_series().values[:, 0])
     span = []
     if np.any(live):
         idx = np.flatnonzero(live)
         span = [spread.dates[int(idx[0])], spread.dates[int(idx[-1])]]
     metadata = {
-        "factor": spread.name,
+        "factor": spread.panel_id,
         "sample_span": span,
         "recipe": recipe_reference,
         "panel_ids": {
@@ -106,7 +110,8 @@ def build_report(
             annotations.extend(stats.flags)
         elif weight_panel is not None:
             try:
-                summary["mean_turnover"] = float(np.nanmean(turnover_op(weight_panel).values))
+                turnover = turnover_op(weight_panel).values[:, 0]
+                summary["mean_turnover"] = float(np.nanmean(turnover))
             except EngineError:
                 pass
     except EngineError as exc:
@@ -188,7 +193,7 @@ def resolve_arguments(registry: PanelRegistry, spread, characteristic, cap, size
             raise ArgError(f"missing or invalid {label!r}", param)
         try:
             found = registry.get(panel_id)
-            return found.to_series(name=panel_id) if series else found
+            return found.to_series() if series else found
         except EngineError as exc:
             raise ArgError(f"{label}: {exc}", param) from exc
 

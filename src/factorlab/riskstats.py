@@ -3,6 +3,7 @@
 Inference defaults to homoskedastic OLS standard errors; Newey-West errors
 with an explicit lag are available and collapse to White errors at lag zero.
 Spreads are self-financing, so no risk-free adjustment is applied anywhere.
+Return series are one-column panels, labelled by their panel ids.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .panel import DateIndex, FactorSeries, Panel, month_ordinal, reframe
+from .panel import DateIndex, Panel, month_ordinal, reframe
 from .transforms import align_panels
 
 
@@ -52,14 +53,14 @@ class SummaryStats:
     flags: tuple[str, ...] = ()
 
 
-def _overlap_design(y: FactorSeries, factors: Sequence[FactorSeries]):
+def _overlap_design(y: Panel, factors: Sequence[Panel]):
     """Common non-missing sample and the intercept-augmented design matrix."""
     dates = y.dates
     for f in factors:
         dates = dates.intersection(f.dates)
 
-    cols = [reframe(f.values, f.dates, dates) for f in factors]
-    yv = reframe(y.values, y.dates, dates)
+    cols = [reframe(f.values, f.dates, dates)[:, 0] for f in factors]
+    yv = reframe(y.values, y.dates, dates)[:, 0]
     keep = ~np.isnan(yv)
     for c in cols:
         keep &= ~np.isnan(c)
@@ -79,9 +80,11 @@ def _collinear_columns(X: np.ndarray, names: Sequence[str]) -> list[str]:
     return offenders
 
 
-def ts_regress(y: FactorSeries, factors: Sequence[FactorSeries],
+def ts_regress(y: Panel, factors: Sequence[Panel],
                se_method: str = "ols", nw_lags: int = 0) -> RegressionResult:
     """OLS of a return series on factor series with an intercept.
+
+    Each series is a one-column panel; the betas are labelled by factor panel id.
 
     se_method "ols" gives homoskedastic errors; "newey_west" uses the
     Bartlett-kernel HAC estimator with ``nw_lags`` lags (lag 0 = White).
@@ -89,7 +92,8 @@ def ts_regress(y: FactorSeries, factors: Sequence[FactorSeries],
     """
     if se_method not in ("ols", "newey_west"):
         raise DataError(f"unknown se_method {se_method!r}")
-    names = tuple(f.name for f in factors)
+    y, factors = y.to_series(), [f.to_series() for f in factors]
+    names = tuple(f.panel_id for f in factors)
     yv, X = _overlap_design(y, factors)
     n, k = X.shape
     if n < len(factors) + 2:
@@ -202,13 +206,14 @@ def fama_macbeth(returns: Panel, characteristics: Sequence[Panel]) -> FMBResult:
     )
 
 
-def summarize(s: FactorSeries) -> SummaryStats:
-    """Descriptive statistics of a monthly return series.
+def summarize(s: Panel) -> SummaryStats:
+    """Descriptive statistics of a monthly return series (a one-column panel).
 
     Sample (n-1) standard deviation, sqrt(12)-annualized Sharpe, and the
     bias-unadjusted third standardized moment for skewness.
     """
-    vals = s.dropna()
+    vals = s.to_series().values[:, 0]
+    vals = vals[~np.isnan(vals)]
     n = vals.size
     if n < 2:
         raise DataError("summarize needs at least 2 observations")
@@ -246,9 +251,9 @@ class StratifiedCell:
 
 
 def size_stratified_alphas(
-    spread_builder: Callable[[Panel], FactorSeries],
+    spread_builder: Callable[[Panel], Panel],
     size_bins: Panel,
-    models: Mapping[str, Sequence[FactorSeries]],
+    models: Mapping[str, Sequence[Panel]],
     se_method: str = "ols",
     nw_lags: int = 0,
 ) -> list[StratifiedCell]:

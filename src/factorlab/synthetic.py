@@ -186,31 +186,41 @@ def generate(config: GeneratorConfig) -> GeneratedData:
     )
 
 
-def _fmt(value: float) -> str:
-    return "" if np.isnan(value) else repr(float(value))
+def _fields(values: np.ndarray) -> list[str]:
+    """Floats as CSV fields: the repr of each value, "" where it is NaN."""
+    fields = np.array(list(map(repr, values.tolist())), dtype=object)
+    fields[np.isnan(values)] = ""
+    return fields.tolist()
+
+
+def _write_rows(path: Path, header: str, *columns) -> None:
+    """Write ``header`` and one comma-joined row per position of the columns."""
+    row = ",".join(["{}"] * len(columns))
+    path.write_text("\n".join([header, *map(row.format, *columns)]) + "\n")
 
 
 def generate_synthetic(config: GeneratorConfig, out_dir) -> list[Path]:
-    """Write ``monthly.csv`` and ``annual.csv`` for a config; returns the paths."""
+    """Write ``monthly.csv`` and ``annual.csv`` for a config; returns the paths.
+
+    Rows are date-major in ``monthly.csv`` and asset-major in ``annual.csv``.
+    """
     data = generate(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     monthly_path = out / "monthly.csv"
-    lines = ["date,asset_id,ret,cap,capco,exchange_nyse"]
-    for m, period in enumerate(data.periods):
-        for j, asset in enumerate(data.assets):
-            lines.append(
-                f"{period},{asset},{_fmt(data.observed_returns[m, j])},"
-                f"{_fmt(data.cap[m, j])},{_fmt(data.capco[m, j])},{int(data.nyse[j])}"
-            )
-    monthly_path.write_text("\n".join(lines) + "\n")
+    n_months, n_assets = len(data.periods), len(data.assets)
+    _write_rows(monthly_path, "date,asset_id,ret,cap,capco,exchange_nyse",
+                np.repeat(data.periods, n_assets).tolist(),
+                np.tile(data.assets, n_months).tolist(),
+                *(_fields(grid.ravel()) for grid in (data.observed_returns, data.cap,
+                                                     data.capco)),
+                np.tile(data.nyse.astype(np.int64), n_months).tolist())
 
     annual_path = out / "annual.csv"
-    lines = ["fiscal_end,asset_id,seq,pstkrv,pstkl,pstk"]
-    for period, asset, seq, pstkrv, pstkl, pstk in data.annual_rows:
-        lines.append(
-            f"{period},{asset},{_fmt(seq)},{_fmt(pstkrv)},{_fmt(pstkl)},{_fmt(pstk)}"
-        )
-    annual_path.write_text("\n".join(lines) + "\n")
+    rows = data.annual_rows
+    values = np.array([row[2:] for row in rows], dtype=np.float64).reshape(-1, 4)
+    _write_rows(annual_path, "fiscal_end,asset_id,seq,pstkrv,pstkl,pstk",
+                [row[0] for row in rows], [row[1] for row in rows],
+                *(_fields(column) for column in values.T))
     return [monthly_path, annual_path]

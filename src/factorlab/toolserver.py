@@ -116,7 +116,7 @@ class ToolServer:
     """One session: an isolated panel registry driven by tool calls."""
 
     def __init__(self, registry: PanelRegistry | None = None, catalog=None):
-        self.registry = registry or PanelRegistry()
+        self.registry = PanelRegistry() if registry is None else registry
         self.catalog = catalog or pipeline.load_catalog()
 
     # -- tool surface --------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AlignmentError, DataError
-from .panel import DateIndex, FactorSeries, Panel, reframe
+from .panel import SERIES_ASSET, DateIndex, Panel, reframe
 
 BINARY_OPS = ("add", "sub", "mul", "div")
 UNARY_OPS = ("neg", "abs", "log", "rank_sign_flip")
@@ -56,13 +56,12 @@ def align_panels(*panels: Panel) -> tuple[DateIndex, tuple[str, ...], list[np.nd
                            for p in panels]
 
 
-def _align_series(dates: DateIndex, series) -> np.ndarray:
-    """Per-date scalar vector on ``dates`` from a FactorSeries or 1-column panel."""
-    if isinstance(series, Panel):
-        series = series.to_series()
-    if not isinstance(series, FactorSeries):
-        raise AlignmentError("expected a FactorSeries or one-column panel")
-    return reframe(series.values, series.dates, dates)
+def _align_series(dates: DateIndex, series: Panel) -> np.ndarray:
+    """The column of a series (one-column panel) as a vector on ``dates``."""
+    if not isinstance(series, Panel):
+        raise AlignmentError("expected a one-column panel")
+    series = series.to_series()
+    return reframe(series.values, series.dates, dates)[:, 0]
 
 
 def _universe_mask(dates: DateIndex, assets, universe: Panel | None) -> np.ndarray:
@@ -266,7 +265,7 @@ def mask(a: Panel, condition: Panel, keep_if: str = "nonzero") -> Panel:
 def compare(a: Panel, threshold, op: str = "lt") -> Panel:
     """Boolean panel (1.0/0.0) comparing cells to a per-date threshold.
 
-    ``threshold`` is a FactorSeries, a one-column panel, or a scalar constant.
+    ``threshold`` is a series (a one-column panel) or a scalar constant.
     'lt' is strict; missing value or missing threshold -> missing.
     """
     if op not in COMPARE_OPS:
@@ -277,9 +276,8 @@ def compare(a: Panel, threshold, op: str = "lt") -> Panel:
         thresh = np.full(len(dates), float(threshold))
         params = {"op": op, "threshold": float(threshold)}
     else:
-        if isinstance(threshold, Panel):
-            inputs.append(threshold)
         thresh = _align_series(dates, threshold)
+        inputs.append(threshold)
         params = {"op": op}
     vals = a.values
     with np.errstate(invalid="ignore"):
@@ -289,8 +287,8 @@ def compare(a: Panel, threshold, op: str = "lt") -> Panel:
     return Panel.derive("compare", params, inputs, dates, assets, out)
 
 
-def xs_percentile_row(a: Panel, pct: float, universe: Panel | None = None) -> FactorSeries:
-    """One scalar per date: the pct-th percentile over universe values."""
+def xs_percentile_row(a: Panel, pct: float, universe: Panel | None = None) -> Panel:
+    """A series of one scalar per date: the pct-th percentile over universe values."""
     if not 0 < pct < 100:
         raise DataError("pct must lie strictly inside (0, 100)")
     dates, assets = a.dates, a.assets
@@ -301,7 +299,9 @@ def xs_percentile_row(a: Panel, pct: float, universe: Panel | None = None) -> Fa
         sample = row[in_uni[i] & ~np.isnan(row)]
         if sample.size:
             out[i] = percentile_linear(sample, pct)
-    return FactorSeries(dates=dates, values=out, name=f"p{pct:g}")
+    inputs = [a] if universe is None else [a, universe]
+    return Panel.derive("xs_percentile_row", {"pct": pct}, inputs, dates, (SERIES_ASSET,),
+                        out.reshape(-1, 1))
 
 
 # -- time-series transforms ----------------------------------------------------

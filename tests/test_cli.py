@@ -82,6 +82,37 @@ def test_dry_run_prints_the_plan(workdir, capsys):
     assert "-> MOM_spread" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--spread", "HML_spread", "--characteristic", "BM"],
+    ["gen", "--n-assets", "0"],
+    ["simk", "manifest.json", "--k", "0"],
+    ["no_such_command"],
+], ids=["report_without_model", "gen_no_assets", "simk_k0", "unknown_command"])
+def test_usage_errors_exit_1_and_write_nothing(workdir, tmp_path, argv):
+    directory, _ = workdir
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(directory), "--out-dir", str(tmp_path), *argv])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_all_missing_step_exits_3_after_saving_the_steps_before_it(workdir, tmp_path):
+    directory, _ = workdir
+    recipe = tmp_path / "empty_mask.json"
+    recipe.write_text(json.dumps({"name": "empty_mask", "params": {}, "sources": ["CAP"],
+                                  "steps": [
+        {"op": "compare", "args": {"op": "ge", "threshold": 1e300}, "inputs": ["CAP"],
+         "output": "HUGE_CAP"},
+        {"op": "mask", "args": {}, "inputs": ["CAP", "HUGE_CAP"], "output": "NO_CAP"},
+    ]}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(directory), "--out-dir", str(out), "run", str(recipe)])
+    assert exc.value.code == cli.EXIT_RUNTIME
+    assert sorted(p.name for p in out.iterdir()) == [
+        "CAP.csv", "CAP.meta.json", "HUGE_CAP.csv", "HUGE_CAP.meta.json"]
+
+
 def test_unknown_recipe_is_a_validation_error(workdir):
     directory, _ = workdir
     assert exit_code(directory, "run", "no_such_recipe") == cli.EXIT_VALIDATION

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from factorlab import evalharness as ev
 from factorlab import panel as panelio
 from factorlab.errors import AlignmentError, DataError
-from factorlab.panel import DateIndex, FactorSeries
+from factorlab.panel import SERIES_ASSET
 
 from .conftest import make_panel
 
@@ -38,8 +38,8 @@ class TestAlign:
         assert len(u) == 1
 
     def test_series_inputs(self):
-        s1 = FactorSeries(DateIndex(["2000-01", "2000-02"]), np.array([1.0, 2.0]))
-        s2 = FactorSeries(DateIndex(["2000-02", "2000-03"]), np.array([3.0, 4.0]))
+        s1 = make_panel("S1", ["2000-01", "2000-02"], [SERIES_ASSET], [[1.0], [2.0]])
+        s2 = make_panel("S2", ["2000-02", "2000-03"], [SERIES_ASSET], [[3.0], [4.0]])
         u, v = ev.align(s1, s2)
         assert u.tolist() == [2.0]
         assert v.tolist() == [3.0]
@@ -58,6 +58,13 @@ class TestCosine:
     def test_zero_norm_error(self):
         with pytest.raises(DataError):
             ev.cosine([0.0, 0.0], [1.0, 1.0])
+
+    def test_tiny_vector_keeps_its_precision(self):
+        # squared entries near 1e-320 are subnormal; unscaled norms lost ~6 digits here
+        u = np.array([0.0, 6.64e-160])
+        v = u + 1.0
+        for scaled in (u, 2.0 * u):
+            assert abs(ev.cosine(scaled, v) - 1.0 / np.sqrt(2.0)) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(

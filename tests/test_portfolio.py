@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from factorlab import portfolio as pf
 from factorlab import transforms as tr
 from factorlab.errors import DataError
-from factorlab.panel import DateIndex, FactorSeries
+from factorlab.panel import SERIES_ASSET, DateIndex, Panel
 
 from .conftest import make_panel
 
@@ -16,7 +16,7 @@ from .conftest import make_panel
 def series(pairs, name="s"):
     periods = [p for p, _ in pairs]
     vals = [np.nan if v is None else v for _, v in pairs]
-    return FactorSeries(DateIndex(periods), np.array(vals), name=name)
+    return Panel.source(name, DateIndex(periods), (SERIES_ASSET,), np.array(vals).reshape(-1, 1))
 
 
 class TestWeights:
@@ -88,20 +88,20 @@ class TestPortfolioReturn:
                        [[0.0, 0.0], [0.04, 0.08]])
         out = pf.portfolio_return(w, r)
         assert list(out.dates) == ["2000-02"]
-        np.testing.assert_allclose(out.values, [0.07], atol=1e-15)
+        np.testing.assert_allclose(out.values[:, 0], [0.07], atol=1e-15)
 
     def test_single_asset(self):
         w = make_panel("W", ["2000-01"], ["a"], [[1.0]])
         r = make_panel("R", ["2000-01", "2000-02"], ["a"], [[0.0], [0.05]])
         out = pf.portfolio_return(w, r)
-        assert out.values[0] == 0.05
+        assert out.values[0, 0] == 0.05
 
     def test_renormalization_on_missing_return(self):
         w = make_panel("W", ["2000-01"], ["a", "b"], [[0.5, 0.5]])
         r = make_panel("R", ["2000-01", "2000-02"], ["a", "b"],
                        [[0.0, 0.0], [None, 0.1]])
         out = pf.portfolio_return(w, r)
-        np.testing.assert_allclose(out.values, [0.1], atol=1e-15)
+        np.testing.assert_allclose(out.values[:, 0], [0.1], atol=1e-15)
 
     def test_formation_at_index_end_produces_nothing(self):
         w = make_panel("W", ["2000-02"], ["a"], [[1.0]])
@@ -117,7 +117,7 @@ class TestPortfolioReturn:
         member = make_panel("M", periods, list("abcd"), np.ones((12, 4)).tolist())
         w = pf.weights_from_membership(member)
         out = pf.portfolio_return(w, r)
-        np.testing.assert_allclose(out.values, rets[1:].mean(axis=1), atol=1e-12)
+        np.testing.assert_allclose(out.values[:, 0], rets[1:].mean(axis=1), atol=1e-12)
 
 
 class TestSort2x3:
@@ -165,16 +165,16 @@ class TestSpreads:
             "BV": series([("2000-01", 0.02)]),
         }
         out = pf.spread_2x3(legs)
-        np.testing.assert_allclose(out.values, [0.01], atol=1e-15)
+        np.testing.assert_allclose(out.values[:, 0], [0.01], atol=1e-15)
 
     def test_spread_2x3_symmetry(self):
         legs = {c: series([("2000-01", 0.03)]) for c in pf.SORT_CELLS_2X3}
-        assert pf.spread_2x3(legs).values[0] == 0.0
+        assert pf.spread_2x3(legs).values[0, 0] == 0.0
 
     def test_spread_2x3_missing_leg(self):
         legs = {c: series([("2000-01", 0.02)]) for c in pf.SORT_CELLS_2X3}
         legs["SV"] = series([("2000-01", None)])
-        assert np.isnan(pf.spread_2x3(legs).values[0])
+        assert np.isnan(pf.spread_2x3(legs).values[0, 0])
 
     def test_spread_2x3_antisymmetric_under_value_growth_swap(self):
         rng = np.random.default_rng(7)
@@ -183,38 +183,38 @@ class TestSpreads:
         swapped = dict(legs)
         swapped["SG"], swapped["SV"] = legs["SV"], legs["SG"]
         swapped["BG"], swapped["BV"] = legs["BV"], legs["BG"]
-        assert pf.spread_2x3(swapped).values[0] == pytest.approx(
-            -pf.spread_2x3(legs).values[0], abs=1e-15
+        assert pf.spread_2x3(swapped).values[0, 0] == pytest.approx(
+            -pf.spread_2x3(legs).values[0, 0], abs=1e-15
         )
 
     def test_topbottom(self):
         top = series([("2000-01", 0.03)])
         bottom = series([("2000-01", 0.01)])
-        np.testing.assert_allclose(pf.spread_topbottom(top, bottom).values,
+        np.testing.assert_allclose(pf.spread_topbottom(top, bottom).values[:, 0],
                                    [0.02], atol=1e-15)
-        assert pf.spread_topbottom(top, top).values[0] == 0.0
+        assert pf.spread_topbottom(top, top).values[0, 0] == 0.0
 
     def test_topbottom_missing(self):
         top = series([("2000-01", 0.03)])
         bottom = series([("2000-01", None)])
-        assert np.isnan(pf.spread_topbottom(top, bottom).values[0])
+        assert np.isnan(pf.spread_topbottom(top, bottom).values[0, 0])
 
 
 class TestTurnover:
     def test_unchanged_weights(self):
         w = make_panel("W", ["2000-01", "2000-02"], ["a", "b"],
                        [[0.5, 0.5], [0.5, 0.5]])
-        assert pf.turnover(w).values[0] == 0.0
+        assert pf.turnover(w).values[0, 0] == 0.0
 
     def test_full_rotation(self):
         w = make_panel("W", ["2000-01", "2000-02"], ["a", "b"],
                        [[1.0, 0.0], [0.0, 1.0]])
-        assert pf.turnover(w).values[0] == 1.0
+        assert pf.turnover(w).values[0, 0] == 1.0
 
     def test_partial_shift(self):
         w = make_panel("W", ["2000-01", "2000-02"], ["a", "b"],
                        [[0.5, 0.5], [0.75, 0.25]])
-        assert pf.turnover(w).values[0] == 0.25
+        assert pf.turnover(w).values[0, 0] == 0.25
 
     def test_needs_two_dates(self):
         w = make_panel("W", ["2000-01"], ["a"], [[1.0]])
@@ -247,9 +247,9 @@ def test_hml_chain_matches_straight_loops(seed):
         legs[cell] = pf.portfolio_return(w, r)
     engine = pf.spread_2x3(legs)
     engine_map = {
-        period: engine.values[i]
+        period: engine.values[i, 0]
         for i, period in enumerate(engine.dates)
-        if not np.isnan(engine.values[i])
+        if not np.isnan(engine.values[i, 0])
     }
 
     # straight-loop reimplementation

@@ -5,7 +5,7 @@ import pytest
 
 from factorlab import riskstats as rs
 from factorlab.errors import DataError
-from factorlab.panel import DateIndex, FactorSeries
+from factorlab.panel import SERIES_ASSET, DateIndex, Panel
 
 from .conftest import make_panel
 from .oracles import ols_normal_equations
@@ -15,7 +15,7 @@ def fs(values, name="y", start=0):
     periods = [f"{1990 + (start + i) // 12:04d}-{(start + i) % 12 + 1:02d}"
                for i in range(len(values))]
     vals = [np.nan if v is None else v for v in values]
-    return FactorSeries(DateIndex(periods), np.array(vals), name=name)
+    return Panel.source(name, DateIndex(periods), (SERIES_ASSET,), np.array(vals).reshape(-1, 1))
 
 
 def random_problem(rng, n=50, k=2):
@@ -51,8 +51,8 @@ class TestTsRegress:
         rng = np.random.default_rng(2)
         y, factors, _, _ = random_problem(rng)
         res = rs.ts_regress(y, factors)
-        X = [[1.0] + [f.values[i] for f in factors] for i in range(len(y.values))]
-        expected = ols_normal_equations(list(y.values), X)
+        X = [[1.0] + [f.values[i, 0] for f in factors] for i in range(len(y.values[:, 0]))]
+        expected = ols_normal_equations(list(y.values[:, 0]), X)
         assert res.alpha == pytest.approx(expected[0], abs=1e-10)
         for b, e in zip(res.betas, expected[1:]):
             assert b == pytest.approx(e, abs=1e-10)
@@ -76,10 +76,10 @@ class TestTsRegress:
             y, factors, _, _ = random_problem(rng, n=60, k=3)
             res = rs.ts_regress(y, factors)
             X = np.column_stack(
-                [np.ones(60)] + [f.values for f in factors]
+                [np.ones(60)] + [f.values[:, 0] for f in factors]
             )
             coef = np.array([res.alpha, *res.betas])
-            resid = np.array(y.values) - X @ coef
+            resid = np.array(y.values[:, 0]) - X @ coef
             assert np.max(np.abs(X.T @ resid)) <= 1e-8
 
     def test_newey_west_zero_equals_white(self):
@@ -88,9 +88,9 @@ class TestTsRegress:
         res = rs.ts_regress(y, factors, se_method="newey_west", nw_lags=0)
 
         # brute-force White sandwich
-        X = np.column_stack([np.ones(50)] + [f.values for f in factors])
-        coef = np.linalg.lstsq(X, y.values, rcond=None)[0]
-        e = y.values - X @ coef
+        X = np.column_stack([np.ones(50)] + [f.values[:, 0] for f in factors])
+        coef = np.linalg.lstsq(X, y.values[:, 0], rcond=None)[0]
+        e = y.values[:, 0] - X @ coef
         xtx_inv = np.linalg.inv(X.T @ X)
         meat = sum(
             e[i] ** 2 * np.outer(X[i], X[i]) for i in range(50)
@@ -107,9 +107,9 @@ class TestTsRegress:
         lags = 3
         res = rs.ts_regress(y, factors, se_method="newey_west", nw_lags=lags)
 
-        X = np.column_stack([np.ones(50)] + [f.values for f in factors])
-        coef = np.linalg.lstsq(X, y.values, rcond=None)[0]
-        e = y.values - X @ coef
+        X = np.column_stack([np.ones(50)] + [f.values[:, 0] for f in factors])
+        coef = np.linalg.lstsq(X, y.values[:, 0], rcond=None)[0]
+        e = y.values[:, 0] - X @ coef
         meat = np.zeros((2, 2))
         for i in range(50):
             meat += e[i] ** 2 * np.outer(X[i], X[i])

@@ -162,6 +162,14 @@ def test_load_source_of_a_malformed_saved_panel_is_a_runtime_error(server, tmp_p
     assert "S" not in fresh.registry
 
 
+def test_a_given_empty_registry_is_the_session_registry(source_panels):
+    registry = panelio.PanelRegistry()
+    server = ToolServer(registry=registry)
+    source = source_panels["CAP"]
+    server.registry.register(Panel.source("CAP", source.dates, source.assets, source.values))
+    assert "CAP" in registry
+
+
 # -- build_report ------------------------------------------------------------------
 
 REPORT = {"spread": "S", "characteristic": "CHAR", "cap": "CAP", "size_bins": "SB",
