@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from factorlab.toolserver import (
 
 from . import oracles
 from .test_pipeline import TOLERANCE
+
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def call(server: ToolServer, tool: str, arguments: dict) -> dict:
     request = {"jsonrpc": "2.0", "id": 1, "method": "tools/call",
@@ -97,6 +101,11 @@ def server():
 
 
 PARSE_LINE = '{"jsonrpc": "2.0", "id": 0, "method": "tools/call", "params": {'
+
+
+def test_tools_list_matches_the_golden_file():
+    line = ToolServer().handle_line('{"jsonrpc": "2.0", "id": 1, "method": "tools/list"}')
+    assert line.encode() == (GOLDEN / "tools_list.json").read_bytes()
 
 
 def test_parse_error(server):
