@@ -4,15 +4,23 @@ The pipeline interpreter validates recipe steps against these specs, and the
 tool server derives its callable-tool descriptors from the same table, so
 static validation and the wire schema cannot drift apart. Both run a step
 through ``apply_step``, so they compute, check and record it the same way.
-Executors return fully-provenanced panels; operators whose natural result
-is a per-date scalar series return a one-column panel.
+
+Each operator is the function of the same name in its spec's module, and
+``execute_operator`` calls every one by a single rule: the input panels go in
+positionally, except that an input past ``inputs_min`` goes in by the spec's
+``optional_input`` keyword; the validated args go in by name; and the step's
+flag list goes in as ``flags`` when the function takes that parameter. The
+functions return fully-provenanced panels; operators whose natural result is
+a per-date scalar series return a one-column panel.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +61,8 @@ class OperatorSpec:
     input_doc: str
     params: tuple[ParamSpec, ...]
     returns: str  # "panel" or "series"
-    fn: Callable
+    module: ModuleType  # defines the operator's function, under the operator's name
+    optional_input: str | None = None  # keyword of an input past inputs_min
     cross_check: Callable | None = None
 
     def describe(self) -> dict:
@@ -178,8 +187,19 @@ def validate_args(spec: OperatorSpec, args: dict, n_inputs: int) -> dict:
 
 def execute_operator(spec: OperatorSpec, inputs: Sequence[Panel], args: dict,
                      flags: list[str] | None = None) -> Panel:
-    """Run a validated operator; always returns a provenance-complete Panel."""
-    return spec.fn(list(inputs), args, flags if flags is not None else [])
+    """Call the operator's function on validated args by the module's calling rule.
+
+    The function is looked up on its module at call time, so a wrapper put on
+    the module attribute (a tracer, a test double) sees every call.
+    """
+    fn = getattr(spec.module, spec.name)
+    inputs = list(inputs)
+    kwargs = dict(args)
+    if spec.optional_input is not None and len(inputs) > spec.inputs_min:
+        kwargs[spec.optional_input] = inputs.pop()
+    if spec.name in _TAKES_FLAGS:
+        kwargs["flags"] = flags
+    return fn(*inputs, **kwargs)
 
 
 def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args: dict,
@@ -188,9 +208,9 @@ def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args:
 
     A bad argument, an unknown input id or an unusable output name raises
     ArgError naming the field, and an all-missing output raises
-    StepExecutionError; whatever the executor raises propagates unchanged.
-    The record holds the output's shape, non-missing cell and month counts,
-    wall time and the executor's flags.
+    StepExecutionError; whatever the operator's function raises propagates
+    unchanged. The record holds the output's shape, non-missing cell and
+    month counts, wall time and the function's flags.
     """
     spec = get_operator(op)
     normalized = validate_args(spec, args, len(input_ids))
@@ -219,115 +239,6 @@ def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args:
         "seconds": round(time.perf_counter() - started, 6),
         "flags": flags,
     }
-
-
-# -- executors ----------------------------------------------------------------
-
-
-def _run_binary(inputs, args, flags):
-    return transforms.binary_op(inputs[0], inputs[1], args["op"])
-
-
-def _run_unary(inputs, args, flags):
-    return transforms.unary_op(inputs[0], args["op"])
-
-
-def _run_coalesce(inputs, args, flags):
-    return transforms.coalesce(inputs)
-
-
-def _run_winsorize(inputs, args, flags):
-    universe = inputs[1] if len(inputs) > 1 else None
-    return transforms.winsorize(inputs[0], lo_pct=args["lo_pct"], hi_pct=args["hi_pct"],
-                                universe=universe, flags=flags)
-
-
-def _run_standardize(inputs, args, flags):
-    universe = inputs[1] if len(inputs) > 1 else None
-    return transforms.standardize(inputs[0], universe=universe, flags=flags)
-
-
-def _run_quantile_bins(inputs, args, flags):
-    universe = inputs[1] if len(inputs) > 1 else None
-    return transforms.quantile_bins(inputs[0], args["percentiles"],
-                                    universe=universe, flags=flags)
-
-
-def _run_mask(inputs, args, flags):
-    return transforms.mask(inputs[0], inputs[1], keep_if=args["keep_if"])
-
-
-def _run_compare(inputs, args, flags):
-    threshold = args["threshold"] if len(inputs) == 1 else inputs[1]
-    return transforms.compare(inputs[0], threshold, op=args["op"])
-
-
-def _run_xs_percentile_row(inputs, args, flags):
-    universe = inputs[1] if len(inputs) > 1 else None
-    return transforms.xs_percentile_row(inputs[0], args["pct"], universe=universe)
-
-
-def _run_lag(inputs, args, flags):
-    return transforms.lag(inputs[0], args["k"])
-
-
-def _run_rolling_compound(inputs, args, flags):
-    return transforms.rolling_compound_return(
-        inputs[0], args["window"], skip=args["skip"], min_obs=args["min_obs"]
-    )
-
-
-def _run_rolling_stat(inputs, args, flags):
-    return transforms.rolling_stat(inputs[0], args["window"], args["stat"],
-                                   min_obs=args["min_obs"])
-
-
-def _run_ewma(inputs, args, flags):
-    return transforms.ewma(inputs[0], args["alpha"], min_periods=args["min_periods"])
-
-
-def _run_trend(inputs, args, flags):
-    return transforms.trend(inputs[0], args["name"], params=args["params"])
-
-
-def _run_annual_to_monthly(inputs, args, flags):
-    return transforms.annual_to_monthly(
-        inputs[0], args["placement_month"], args["offset"], args["valid_months"]
-    )
-
-
-def _run_book_equity(inputs, args, flags):
-    return ingest.book_equity(*inputs)
-
-
-def _run_book_to_market(inputs, args, flags):
-    return ingest.book_to_market(inputs[0], inputs[1])
-
-
-def _run_weights(inputs, args, flags):
-    weight_by = inputs[1] if len(inputs) > 1 else None
-    return portfolio.weights_from_membership(inputs[0], weight_by=weight_by, flags=flags)
-
-
-def _run_portfolio_return(inputs, args, flags):
-    return portfolio.portfolio_return(inputs[0], inputs[1], flags=flags)
-
-
-def _run_sort_2x3(inputs, args, flags):
-    panels = portfolio.independent_sort_2x3(inputs[0], inputs[1])
-    return panels[args["cell"]]
-
-
-def _run_spread_2x3(inputs, args, flags):
-    return portfolio.spread_2x3(inputs)
-
-
-def _run_spread_topbottom(inputs, args, flags):
-    return portfolio.spread_topbottom(inputs[0], inputs[1])
-
-
-def _run_turnover(inputs, args, flags):
-    return portfolio.turnover(inputs[0])
 
 
 # -- cross-field checks ---------------------------------------------------------
@@ -381,199 +292,200 @@ def _trend_check(args, n_inputs):
         )
 
 
-OPERATORS: dict[str, OperatorSpec] = {}
+OPERATORS: dict[str, OperatorSpec] = {spec.name: spec for spec in (
+    OperatorSpec(
+        "binary_op", "Element-wise add/sub/mul/div of two aligned panels.",
+        2, 2, "left panel, right panel",
+        (ParamSpec("op", "string", required=True, choices=transforms.BINARY_OPS,
+                   doc="one of add, sub, mul, div"),),
+        "panel", transforms,
+    ),
+    OperatorSpec(
+        "unary_op", "Element-wise neg/abs/log/rank_sign_flip of a panel.",
+        1, 1, "input panel",
+        (ParamSpec("op", "string", required=True, choices=transforms.UNARY_OPS,
+                   doc="one of neg, abs, log, rank_sign_flip"),),
+        "panel", transforms,
+    ),
+    OperatorSpec(
+        "coalesce", "Per cell, first non-missing value across the input panels in order.",
+        1, None, "panels in preference order",
+        (),
+        "panel", transforms,
+    ),
+    OperatorSpec(
+        "winsorize", "Clip each date's values to universe percentile bounds.",
+        1, 2, "input panel, optional boolean universe panel",
+        (
+            ParamSpec("lo_pct", "number", doc="lower percentile in [0, 100]",
+                      minimum=0.0, maximum=100.0),
+            ParamSpec("hi_pct", "number", doc="upper percentile in [0, 100]",
+                      minimum=0.0, maximum=100.0),
+        ),
+        "panel", transforms, optional_input="universe", cross_check=_winsorize_check,
+    ),
+    OperatorSpec(
+        "standardize", "Per date, demean and scale by the universe sample sd.",
+        1, 2, "input panel, optional boolean universe panel",
+        (),
+        "panel", transforms, optional_input="universe",
+    ),
+    OperatorSpec(
+        "quantile_bins", "Integer bins 1..len(percentiles)+1 from universe breakpoints.",
+        1, 2, "input panel, optional boolean universe panel",
+        (ParamSpec("percentiles", "number_list", required=True,
+                   doc="strictly increasing breakpoint percentiles in (0, 100)",
+                   minimum=0.0, maximum=100.0, exclusive_min=True, exclusive_max=True),),
+        "panel", transforms, optional_input="universe", cross_check=_quantile_check,
+    ),
+    OperatorSpec(
+        "mask", "Blank out cells failing a condition panel.",
+        2, 2, "input panel, condition panel",
+        (ParamSpec("keep_if", "string", default="nonzero", choices=("nonzero", "zero"),
+                   doc="keep cells where the condition is nonzero (default) or zero"),),
+        "panel", transforms,
+    ),
+    OperatorSpec(
+        "compare", "Boolean panel comparing cells to a per-date threshold.",
+        1, 2, "input panel, optional threshold series panel",
+        (
+            ParamSpec("op", "string", required=True, choices=transforms.COMPARE_OPS,
+                      doc="lt (strict) or ge"),
+            ParamSpec("threshold", "number", doc="scalar threshold when no series input"),
+        ),
+        "panel", transforms, optional_input="threshold", cross_check=_compare_check,
+    ),
+    OperatorSpec(
+        "xs_percentile_row", "Per-date percentile of universe values, as a series.",
+        1, 2, "input panel, optional boolean universe panel",
+        (ParamSpec("pct", "number", required=True, doc="percentile strictly in (0, 100)",
+                   minimum=0.0, maximum=100.0, exclusive_min=True, exclusive_max=True),),
+        "series", transforms, optional_input="universe",
+    ),
+    OperatorSpec(
+        "lag", "Shift values forward by k calendar months, per asset.",
+        1, 1, "input panel",
+        (ParamSpec("k", "int", required=True, doc="months to lag, k >= 1", minimum=1),),
+        "panel", transforms,
+    ),
+    OperatorSpec(
+        "rolling_compound_return",
+        "Compound growth over calendar months t-window .. t-skip-1 per asset.",
+        1, 1, "monthly return panel",
+        (
+            ParamSpec("window", "int", required=True, doc="trailing window length in months",
+                      minimum=1),
+            ParamSpec("skip", "int", default=0, doc="most recent months to skip", minimum=0),
+            ParamSpec("min_obs", "int", doc="minimum non-missing returns; default window-skip",
+                      minimum=1),
+        ),
+        "panel", transforms, cross_check=_rolling_compound_check,
+    ),
+    OperatorSpec(
+        "rolling_stat", "Trailing-window mean/std/sum/min/max including the current month.",
+        1, 1, "input panel",
+        (
+            ParamSpec("window", "int", required=True, doc="window length in months", minimum=1),
+            ParamSpec("stat", "string", required=True, choices=transforms.ROLLING_STATS,
+                      doc="one of mean, std, sum, min, max"),
+            ParamSpec("min_obs", "int", default=1, doc="minimum non-missing observations",
+                      minimum=1),
+        ),
+        "panel", transforms, cross_check=_rolling_stat_check,
+    ),
+    OperatorSpec(
+        "ewma", "Recursive exponentially weighted mean over each asset's observations.",
+        1, 1, "input panel",
+        (
+            ParamSpec("alpha", "number", required=True, doc="smoothing weight in (0, 1]",
+                      minimum=0.0, maximum=1.0, exclusive_min=True),
+            ParamSpec("min_periods", "int", default=1,
+                      doc="observations required before output", minimum=1),
+        ),
+        "panel", transforms,
+    ),
+    OperatorSpec(
+        "trend", "Apply a named registered series transform independently per asset.",
+        1, 1, "input panel",
+        (
+            ParamSpec("name", "string", required=True, doc="registered transform name"),
+            ParamSpec("params", "map", doc="keyword parameters for the transform"),
+        ),
+        "panel", transforms, cross_check=_trend_check,
+    ),
+    OperatorSpec(
+        "annual_to_monthly", "Carry annual placement-month values forward monthly.",
+        1, 1, "panel with values at placement months",
+        (
+            ParamSpec("placement_month", "int", required=True, doc="calendar month 1..12",
+                      minimum=1, maximum=12),
+            ParamSpec("offset", "int", required=True,
+                      doc="months after placement when validity starts", minimum=0),
+            ParamSpec("valid_months", "int", required=True, doc="validity span in months",
+                      minimum=1),
+        ),
+        "panel", transforms,
+    ),
+    OperatorSpec(
+        "book_equity",
+        "Stockholder equity minus preferred stock (redemption, liquidation, par order).",
+        4, 4, "seq, pstkrv, pstkl, pstk panels",
+        (),
+        "panel", ingest,
+    ),
+    OperatorSpec(
+        "book_to_market",
+        "December book equity over December company cap, usable from the following June.",
+        2, 2, "book equity panel, company market equity panel",
+        (),
+        "panel", ingest,
+    ),
+    OperatorSpec(
+        "weights_from_membership",
+        "Long-only weights proportional to a weight basis over member cells.",
+        1, 2, "boolean membership panel, optional weight basis panel",
+        (),
+        "panel", portfolio, optional_input="weight_by",
+    ),
+    OperatorSpec(
+        "portfolio_return", "Next-month renormalized portfolio returns from weights.",
+        2, 2, "weight panel, return panel",
+        (),
+        "series", portfolio,
+    ),
+    OperatorSpec(
+        "independent_sort_2x3",
+        "One 2x3 size-by-value intersection membership cell (SG, SN, SV, BG, BN, BV).",
+        2, 2, "size bin panel (1..2), value bin panel (1..3)",
+        (ParamSpec("cell", "string", required=True, choices=portfolio.SORT_CELLS_2X3,
+                   doc="which intersection cell to emit"),),
+        "panel", portfolio,
+    ),
+    OperatorSpec(
+        "spread_2x3", "0.5*(SV+BV) - 0.5*(SG+BG) from six leg return series.",
+        6, 6, "six leg series panels ordered SG, SN, SV, BG, BN, BV",
+        (),
+        "series", portfolio,
+    ),
+    OperatorSpec(
+        "spread_topbottom", "Top leg minus bottom leg return series.",
+        2, 2, "top series panel, bottom series panel",
+        (),
+        "series", portfolio,
+    ),
+    OperatorSpec(
+        "turnover", "Half the absolute weight change between consecutive weight rows.",
+        1, 1, "weight panel",
+        (),
+        "series", portfolio,
+    ),
+)}
 
-
-def _register(spec: OperatorSpec):
-    OPERATORS[spec.name] = spec
-
-
-_register(OperatorSpec(
-    "binary_op", "Element-wise add/sub/mul/div of two aligned panels.",
-    2, 2, "left panel, right panel",
-    (ParamSpec("op", "string", required=True, choices=transforms.BINARY_OPS,
-               doc="one of add, sub, mul, div"),),
-    "panel", _run_binary,
-))
-_register(OperatorSpec(
-    "unary_op", "Element-wise neg/abs/log/rank_sign_flip of a panel.",
-    1, 1, "input panel",
-    (ParamSpec("op", "string", required=True, choices=transforms.UNARY_OPS,
-               doc="one of neg, abs, log, rank_sign_flip"),),
-    "panel", _run_unary,
-))
-_register(OperatorSpec(
-    "coalesce", "Per cell, first non-missing value across the input panels in order.",
-    1, None, "panels in preference order",
-    (),
-    "panel", _run_coalesce,
-))
-_register(OperatorSpec(
-    "winsorize", "Clip each date's values to universe percentile bounds.",
-    1, 2, "input panel, optional boolean universe panel",
-    (
-        ParamSpec("lo_pct", "number", doc="lower percentile in [0, 100]",
-                  minimum=0.0, maximum=100.0),
-        ParamSpec("hi_pct", "number", doc="upper percentile in [0, 100]",
-                  minimum=0.0, maximum=100.0),
-    ),
-    "panel", _run_winsorize, cross_check=_winsorize_check,
-))
-_register(OperatorSpec(
-    "standardize", "Per date, demean and scale by the universe sample sd.",
-    1, 2, "input panel, optional boolean universe panel",
-    (),
-    "panel", _run_standardize,
-))
-_register(OperatorSpec(
-    "quantile_bins", "Integer bins 1..len(percentiles)+1 from universe breakpoints.",
-    1, 2, "input panel, optional boolean universe panel",
-    (ParamSpec("percentiles", "number_list", required=True,
-               doc="strictly increasing breakpoint percentiles in (0, 100)",
-               minimum=0.0, maximum=100.0, exclusive_min=True, exclusive_max=True),),
-    "panel", _run_quantile_bins, cross_check=_quantile_check,
-))
-_register(OperatorSpec(
-    "mask", "Blank out cells failing a condition panel.",
-    2, 2, "input panel, condition panel",
-    (ParamSpec("keep_if", "string", default="nonzero", choices=("nonzero", "zero"),
-               doc="keep cells where the condition is nonzero (default) or zero"),),
-    "panel", _run_mask,
-))
-_register(OperatorSpec(
-    "compare", "Boolean panel comparing cells to a per-date threshold.",
-    1, 2, "input panel, optional threshold series panel",
-    (
-        ParamSpec("op", "string", required=True, choices=transforms.COMPARE_OPS,
-                  doc="lt (strict) or ge"),
-        ParamSpec("threshold", "number", doc="scalar threshold when no series input"),
-    ),
-    "panel", _run_compare, cross_check=_compare_check,
-))
-_register(OperatorSpec(
-    "xs_percentile_row", "Per-date percentile of universe values, as a series.",
-    1, 2, "input panel, optional boolean universe panel",
-    (ParamSpec("pct", "number", required=True, doc="percentile strictly in (0, 100)",
-               minimum=0.0, maximum=100.0, exclusive_min=True, exclusive_max=True),),
-    "series", _run_xs_percentile_row,
-))
-_register(OperatorSpec(
-    "lag", "Shift values forward by k calendar months, per asset.",
-    1, 1, "input panel",
-    (ParamSpec("k", "int", required=True, doc="months to lag, k >= 1", minimum=1),),
-    "panel", _run_lag,
-))
-_register(OperatorSpec(
-    "rolling_compound_return",
-    "Compound growth over calendar months t-window .. t-skip-1 per asset.",
-    1, 1, "monthly return panel",
-    (
-        ParamSpec("window", "int", required=True, doc="trailing window length in months",
-                  minimum=1),
-        ParamSpec("skip", "int", default=0, doc="most recent months to skip", minimum=0),
-        ParamSpec("min_obs", "int", doc="minimum non-missing returns; default window-skip",
-                  minimum=1),
-    ),
-    "panel", _run_rolling_compound, cross_check=_rolling_compound_check,
-))
-_register(OperatorSpec(
-    "rolling_stat", "Trailing-window mean/std/sum/min/max including the current month.",
-    1, 1, "input panel",
-    (
-        ParamSpec("window", "int", required=True, doc="window length in months", minimum=1),
-        ParamSpec("stat", "string", required=True, choices=transforms.ROLLING_STATS,
-                  doc="one of mean, std, sum, min, max"),
-        ParamSpec("min_obs", "int", default=1, doc="minimum non-missing observations",
-                  minimum=1),
-    ),
-    "panel", _run_rolling_stat, cross_check=_rolling_stat_check,
-))
-_register(OperatorSpec(
-    "ewma", "Recursive exponentially weighted mean over each asset's observations.",
-    1, 1, "input panel",
-    (
-        ParamSpec("alpha", "number", required=True, doc="smoothing weight in (0, 1]",
-                  minimum=0.0, maximum=1.0, exclusive_min=True),
-        ParamSpec("min_periods", "int", default=1,
-                  doc="observations required before output", minimum=1),
-    ),
-    "panel", _run_ewma,
-))
-_register(OperatorSpec(
-    "trend", "Apply a named registered series transform independently per asset.",
-    1, 1, "input panel",
-    (
-        ParamSpec("name", "string", required=True, doc="registered transform name"),
-        ParamSpec("params", "map", doc="keyword parameters for the transform"),
-    ),
-    "panel", _run_trend, cross_check=_trend_check,
-))
-_register(OperatorSpec(
-    "annual_to_monthly", "Carry annual placement-month values forward monthly.",
-    1, 1, "panel with values at placement months",
-    (
-        ParamSpec("placement_month", "int", required=True, doc="calendar month 1..12",
-                  minimum=1, maximum=12),
-        ParamSpec("offset", "int", required=True,
-                  doc="months after placement when validity starts", minimum=0),
-        ParamSpec("valid_months", "int", required=True, doc="validity span in months",
-                  minimum=1),
-    ),
-    "panel", _run_annual_to_monthly,
-))
-_register(OperatorSpec(
-    "book_equity",
-    "Stockholder equity minus preferred stock (redemption, liquidation, par order).",
-    4, 4, "seq, pstkrv, pstkl, pstk panels",
-    (),
-    "panel", _run_book_equity,
-))
-_register(OperatorSpec(
-    "book_to_market",
-    "December book equity over December company cap, usable from the following June.",
-    2, 2, "book equity panel, company market equity panel",
-    (),
-    "panel", _run_book_to_market,
-))
-_register(OperatorSpec(
-    "weights_from_membership",
-    "Long-only weights proportional to a weight basis over member cells.",
-    1, 2, "boolean membership panel, optional weight basis panel",
-    (),
-    "panel", _run_weights,
-))
-_register(OperatorSpec(
-    "portfolio_return", "Next-month renormalized portfolio returns from weights.",
-    2, 2, "weight panel, return panel",
-    (),
-    "series", _run_portfolio_return,
-))
-_register(OperatorSpec(
-    "independent_sort_2x3",
-    "One 2x3 size-by-value intersection membership cell (SG, SN, SV, BG, BN, BV).",
-    2, 2, "size bin panel (1..2), value bin panel (1..3)",
-    (ParamSpec("cell", "string", required=True, choices=portfolio.SORT_CELLS_2X3,
-               doc="which intersection cell to emit"),),
-    "panel", _run_sort_2x3,
-))
-_register(OperatorSpec(
-    "spread_2x3", "0.5*(SV+BV) - 0.5*(SG+BG) from six leg return series.",
-    6, 6, "six leg series panels ordered SG, SN, SV, BG, BN, BV",
-    (),
-    "series", _run_spread_2x3,
-))
-_register(OperatorSpec(
-    "spread_topbottom", "Top leg minus bottom leg return series.",
-    2, 2, "top series panel, bottom series panel",
-    (),
-    "series", _run_spread_topbottom,
-))
-_register(OperatorSpec(
-    "turnover", "Half the absolute weight change between consecutive weight rows.",
-    1, 1, "weight panel",
-    (),
-    "series", _run_turnover,
-))
+# operators whose function records per-date flags; read once from the signatures
+_TAKES_FLAGS = frozenset(
+    name for name, spec in OPERATORS.items()
+    if "flags" in inspect.signature(getattr(spec.module, name)).parameters
+)
 
 
 def get_operator(name: str) -> OperatorSpec:

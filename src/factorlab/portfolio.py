@@ -9,8 +9,6 @@ weights renormalized, approximating investing only in tradable names.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DataError
@@ -88,13 +86,15 @@ def portfolio_return(w: Panel, r: Panel, flags: list[str] | None = None) -> Pane
                         (SERIES_ASSET,), np.array(values, dtype=np.float64).reshape(-1, 1))
 
 
-def independent_sort_2x3(size_bins: Panel, value_bins: Panel) -> dict[str, Panel]:
-    """Six 2x3 intersection memberships keyed SG, SN, SV, BG, BN, BV.
+def independent_sort_2x3(size_bins: Panel, value_bins: Panel, cell: str) -> Panel:
+    """Membership of one 2x3 intersection cell: SG, SN, SV, BG, BN or BV.
 
     Size codes 1 (small) and 2 (big) cross value codes 1 (growth), 2
-    (neutral), 3 (value). Assets missing either bin belong to no portfolio,
-    so the memberships partition the doubly-binned universe.
+    (neutral), 3 (value). Assets missing either bin belong to no cell, so the
+    six cells partition the doubly-binned universe.
     """
+    if cell not in SORT_CELLS_2X3:
+        raise DataError(f"cell must be one of {', '.join(SORT_CELLS_2X3)}, got {cell!r}")
     dates, assets, (gs, gv) = align_panels(size_bins, value_bins)
     valid_s = ~np.isnan(gs)
     valid_v = ~np.isnan(gv)
@@ -103,27 +103,18 @@ def independent_sort_2x3(size_bins: Panel, value_bins: Panel) -> dict[str, Panel
     if np.any(valid_v & ((gv < 1) | (gv > 3))):
         raise DataError("value bins must be coded 1..3 (growth/neutral/value)")
 
-    out = {}
-    for cell in SORT_CELLS_2X3:
-        s_code = 1 if cell[0] == "S" else 2
-        v_code = {"G": 1, "N": 2, "V": 3}[cell[1]]
-        hit = valid_s & valid_v & (gs == s_code) & (gv == v_code)
-        grid = np.where(valid_s & valid_v, hit.astype(np.float64), np.nan)
-        out[cell] = Panel.derive(
-            "independent_sort_2x3", {"cell": cell},
-            [size_bins, value_bins], dates, assets, grid,
-        )
-    return out
+    hit = (gs == "SB".index(cell[0]) + 1) & (gv == "GNV".index(cell[1]) + 1)
+    grid = np.where(valid_s & valid_v, hit.astype(np.float64), np.nan)
+    return Panel.derive("independent_sort_2x3", {"cell": cell},
+                        [size_bins, value_bins], dates, assets, grid)
 
 
-def spread_2x3(legs: dict[str, Panel] | Sequence[Panel]) -> Panel:
+def spread_2x3(*legs: Panel) -> Panel:
     """0.5*(SV+BV) - 0.5*(SG+BG) per date; missing if any required leg is missing.
 
-    The legs are series (one-column panels) keyed or ordered SG, SN, SV, BG, BN, BV.
+    The six legs are series (one-column panels) ordered SG, SN, SV, BG, BN, BV.
     """
-    if isinstance(legs, dict):
-        legs = [legs[c] for c in SORT_CELLS_2X3]
-    elif len(legs) != 6:
+    if len(legs) != 6:
         raise DataError("spread_2x3 takes six legs ordered SG, SN, SV, BG, BN, BV")
     legs = [leg.to_series() for leg in legs]
     dates = functools.reduce(DateIndex.union, [leg.dates for leg in legs])

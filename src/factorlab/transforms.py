@@ -136,8 +136,8 @@ def unary_op(a: Panel, op: str) -> Panel:
     return Panel.derive("unary_op", {"op": op}, [a], a.dates, a.assets, out)
 
 
-def coalesce(panels: Sequence[Panel]) -> Panel:
-    """Per cell, the first non-missing value in list order."""
+def coalesce(*panels: Panel) -> Panel:
+    """Per cell, the first non-missing value in argument order."""
     if not panels:
         raise DataError("coalesce needs at least one panel")
     dates, assets, grids = align_panels(*panels)

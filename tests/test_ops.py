@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
 import pytest
 
+from factorlab import transforms
 from factorlab.errors import RecipeError
-from factorlab.ops import ArgError, get_operator, validate_args
+from factorlab.ops import OPERATORS, ArgError, apply_step, get_operator, validate_args
+from factorlab.panel import PanelRegistry
 from factorlab.pipeline import parse_and_validate
 from factorlab.toolserver import INVALID_PARAMS, ToolServer
 
@@ -58,3 +61,42 @@ def test_tool_server_answers_nan_with_invalid_params():
     response = json.loads(server.handle_line(json.dumps(request)))
     assert response["error"]["code"] == INVALID_PARAMS
     assert response["error"]["data"] == {"param": "hi_pct"}
+
+
+# -- the operator table against the operator functions ------------------------------
+
+
+@pytest.mark.parametrize("spec", OPERATORS.values(), ids=list(OPERATORS))
+def test_every_operator_function_takes_its_inputs_and_arguments(spec):
+    fn = getattr(spec.module, spec.name)
+    signature = inspect.signature(fn)
+    inputs = [object()] * spec.inputs_min
+    args = {p.name: object() for p in spec.params}
+    signature.bind(*inputs, **args)
+    if spec.inputs_max is None:
+        assert spec.optional_input is None
+        signature.bind(*inputs, object(), object(), **args)
+    elif spec.inputs_max > spec.inputs_min:
+        assert spec.inputs_max == spec.inputs_min + 1
+        signature.bind(*inputs, **{**args, spec.optional_input: object()})
+    else:
+        assert spec.optional_input is None
+
+
+def test_apply_step_calls_the_function_on_its_module_at_call_time(monkeypatch):
+    calls = []
+    original = transforms.quantile_bins
+
+    def recording(*args, **kwargs):
+        calls.append(sorted(kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "quantile_bins", recording)
+    registry = PanelRegistry()
+    registry.register(make_panel("X", ["1990-01"], ["a", "b"], [[1.0, 2.0]]))
+    registry.register(make_panel("U", ["1990-01"], ["a", "b"], [[1.0, 1.0]]))
+    panel_id, record = apply_step(registry, "quantile_bins", ["X", "U"],
+                                  {"percentiles": [50.0]})
+    assert calls == [["flags", "percentiles", "universe"]]
+    assert registry.get(panel_id).values.tolist() == [[1.0, 2.0]]
+    assert record["flags"] == []

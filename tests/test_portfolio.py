@@ -120,11 +120,17 @@ class TestPortfolioReturn:
         np.testing.assert_allclose(out.values[:, 0], rets[1:].mean(axis=1), atol=1e-12)
 
 
+def sort_cells(size_bins, value_bins) -> dict[str, Panel]:
+    """Every 2x3 cell, one sort call each."""
+    return {cell: pf.independent_sort_2x3(size_bins, value_bins, cell)
+            for cell in pf.SORT_CELLS_2X3}
+
+
 class TestSort2x3:
     def test_intersection(self):
         size_bins = make_panel("S", ["2000-01"], ["a"], [[1.0]])
         value_bins = make_panel("V", ["2000-01"], ["a"], [[3.0]])
-        cells = pf.independent_sort_2x3(size_bins, value_bins)
+        cells = sort_cells(size_bins, value_bins)
         assert cells["SV"].values[0, 0] == 1.0
         for cell in ("SG", "SN", "BG", "BN", "BV"):
             assert cells[cell].values[0, 0] == 0.0
@@ -132,7 +138,7 @@ class TestSort2x3:
     def test_missing_bin_no_membership(self):
         size_bins = make_panel("S", ["2000-01"], ["a"], [[1.0]])
         value_bins = make_panel("V", ["2000-01"], ["a"], [[None]])
-        cells = pf.independent_sort_2x3(size_bins, value_bins)
+        cells = sort_cells(size_bins, value_bins)
         for cell in pf.SORT_CELLS_2X3:
             assert np.isnan(cells[cell].values[0, 0])
 
@@ -143,7 +149,7 @@ class TestSort2x3:
                                rng.integers(1, 3, size=(6, 6)).astype(float).tolist())
         value_bins = make_panel("V", periods, list("abcdef"),
                                 rng.integers(1, 4, size=(6, 6)).astype(float).tolist())
-        cells = pf.independent_sort_2x3(size_bins, value_bins)
+        cells = sort_cells(size_bins, value_bins)
         total = sum(np.nan_to_num(c.values) for c in cells.values())
         assert np.all(total == 1.0)
 
@@ -151,40 +157,53 @@ class TestSort2x3:
         size_bins = make_panel("S", ["2000-01"], ["a"], [[5.0]])
         value_bins = make_panel("V", ["2000-01"], ["a"], [[1.0]])
         with pytest.raises(DataError):
-            pf.independent_sort_2x3(size_bins, value_bins)
+            pf.independent_sort_2x3(size_bins, value_bins, "SG")
+
+    def test_bad_value_code(self):
+        size_bins = make_panel("S", ["2000-01"], ["a"], [[1.0]])
+        value_bins = make_panel("V", ["2000-01"], ["a"], [[4.0]])
+        with pytest.raises(DataError, match="value bins"):
+            pf.independent_sort_2x3(size_bins, value_bins, "SV")
+
+    def test_unknown_cell(self):
+        bins = make_panel("S", ["2000-01"], ["a"], [[1.0]])
+        with pytest.raises(DataError, match="cell"):
+            pf.independent_sort_2x3(bins, bins, "XX")
+
+    def test_cell_provenance(self):
+        bins = make_panel("S", ["2000-01"], ["a"], [[1.0]])
+        out = pf.independent_sort_2x3(bins, bins, "SG")
+        assert out.provenance.params == {"cell": "SG"}
 
 
 class TestSpreads:
     def test_spread_2x3_arithmetic(self):
-        legs = {
-            "SG": series([("2000-01", 0.01)]),
-            "SN": series([("2000-01", 0.0)]),
-            "SV": series([("2000-01", 0.02)]),
-            "BG": series([("2000-01", 0.01)]),
-            "BN": series([("2000-01", 0.0)]),
-            "BV": series([("2000-01", 0.02)]),
-        }
-        out = pf.spread_2x3(legs)
+        # SG, SN, SV, BG, BN, BV
+        legs = [series([("2000-01", v)]) for v in (0.01, 0.0, 0.02, 0.01, 0.0, 0.02)]
+        out = pf.spread_2x3(*legs)
         np.testing.assert_allclose(out.values[:, 0], [0.01], atol=1e-15)
 
     def test_spread_2x3_symmetry(self):
-        legs = {c: series([("2000-01", 0.03)]) for c in pf.SORT_CELLS_2X3}
-        assert pf.spread_2x3(legs).values[0, 0] == 0.0
+        legs = [series([("2000-01", 0.03)]) for _ in pf.SORT_CELLS_2X3]
+        assert pf.spread_2x3(*legs).values[0, 0] == 0.0
 
     def test_spread_2x3_missing_leg(self):
-        legs = {c: series([("2000-01", 0.02)]) for c in pf.SORT_CELLS_2X3}
-        legs["SV"] = series([("2000-01", None)])
-        assert np.isnan(pf.spread_2x3(legs).values[0, 0])
+        legs = [series([("2000-01", 0.02)]) for _ in pf.SORT_CELLS_2X3]
+        legs[pf.SORT_CELLS_2X3.index("SV")] = series([("2000-01", None)])
+        assert np.isnan(pf.spread_2x3(*legs).values[0, 0])
+
+    def test_spread_2x3_needs_six_legs(self):
+        with pytest.raises(DataError):
+            pf.spread_2x3(*[series([("2000-01", 0.02)])] * 5)
 
     def test_spread_2x3_antisymmetric_under_value_growth_swap(self):
         rng = np.random.default_rng(7)
         vals = rng.uniform(-0.05, 0.05, size=6)
-        legs = {c: series([("2000-01", v)]) for c, v in zip(pf.SORT_CELLS_2X3, vals)}
-        swapped = dict(legs)
-        swapped["SG"], swapped["SV"] = legs["SV"], legs["SG"]
-        swapped["BG"], swapped["BV"] = legs["BV"], legs["BG"]
-        assert pf.spread_2x3(swapped).values[0, 0] == pytest.approx(
-            -pf.spread_2x3(legs).values[0, 0], abs=1e-15
+        sg, sn, sv, bg, bn, bv = [series([("2000-01", v)]) for v in vals]
+        legs = [sg, sn, sv, bg, bn, bv]
+        swapped = [sv, sn, sg, bv, bn, bg]
+        assert pf.spread_2x3(*swapped).values[0, 0] == pytest.approx(
+            -pf.spread_2x3(*legs).values[0, 0], abs=1e-15
         )
 
     def test_topbottom(self):
@@ -240,12 +259,12 @@ def test_hml_chain_matches_straight_loops(seed):
     size_bins = make_panel("S", periods, assets, size_codes.tolist())
     value_bins = make_panel("V", periods, assets, value_codes.tolist())
 
-    cells = pf.independent_sort_2x3(size_bins, value_bins)
-    legs = {}
-    for cell, member in cells.items():
+    legs = []
+    for cell in pf.SORT_CELLS_2X3:
+        member = pf.independent_sort_2x3(size_bins, value_bins, cell)
         w = pf.weights_from_membership(member, cap)
-        legs[cell] = pf.portfolio_return(w, r)
-    engine = pf.spread_2x3(legs)
+        legs.append(pf.portfolio_return(w, r))
+    engine = pf.spread_2x3(*legs)
     engine_map = {
         period: engine.values[i, 0]
         for i, period in enumerate(engine.dates)

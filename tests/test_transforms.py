@@ -67,19 +67,19 @@ class TestCoalesce:
         p1 = row_panel([None], "P1")
         p2 = row_panel([5.0], "P2")
         p3 = row_panel([7.0], "P3")
-        assert tr.coalesce([p1, p2, p3]).values[0, 0] == 5.0
+        assert tr.coalesce(p1, p2, p3).values[0, 0] == 5.0
 
     def test_first_wins(self):
-        out = tr.coalesce([row_panel([10.0], "P1"), row_panel([5.0], "P2")])
+        out = tr.coalesce(row_panel([10.0], "P1"), row_panel([5.0], "P2"))
         assert out.values[0, 0] == 10.0
 
     def test_all_missing(self):
-        out = tr.coalesce([row_panel([None], "P1"), row_panel([None], "P2")])
+        out = tr.coalesce(row_panel([None], "P1"), row_panel([None], "P2"))
         assert np.isnan(out.values[0, 0])
 
     def test_empty_list_error(self):
         with pytest.raises(DataError):
-            tr.coalesce([])
+            tr.coalesce()
 
 
 class TestWinsorize:
