@@ -2,9 +2,9 @@
 
 sim@k for one task is the exact expectation, over all size-k subsets of the
 n attempts, of the best cosine similarity in the subset. The closed form
-weights the j-th ascending order statistic by C(j-1, k-1) / C(n, k); direct
-subset enumeration is kept alongside as a cross-check for small n. Aggregate
-Sim@k averages per-task values across tasks.
+weights the j-th ascending order statistic by C(j-1, k-1) / C(n, k); the
+tests check it against direct subset enumeration. Aggregate Sim@k averages
+per-task values across tasks.
 
 Alignment before comparison intersects dates (and assets, for panels) and
 drops pairs with a missing side; zero-filling would inflate the similarity
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -78,18 +77,6 @@ def sim_at_k(attempt_sims, k: int) -> float:
         if weight:
             total += weight * s
     return total / comb(n, k)
-
-
-def sim_at_k_enumerated(attempt_sims, k: int) -> float:
-    """Direct average of subset maxima; transparent but limited to small n."""
-    sims = [float(s) for s in attempt_sims]
-    n = len(sims)
-    if not 1 <= k <= n:
-        raise DataError(f"k={k} outside 1..{n}")
-    if n > 12:
-        raise DataError("enumeration supported for n <= 12; use sim_at_k")
-    subsets = list(combinations(range(n), k))
-    return sum(max(sims[j] for j in subset) for subset in subsets) / len(subsets)
 
 
 def aggregate_simk(per_task_values) -> float:

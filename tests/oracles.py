@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import combinations
 from pathlib import Path
 
 
@@ -313,3 +314,10 @@ def ols_normal_equations(y, X):
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return [aug[r][k] for r in range(k)]
+
+
+def sim_at_k_enumerated(attempt_sims, k: int) -> float:
+    """Expected best-of-k similarity as the direct average of subset maxima."""
+    sims = [float(s) for s in attempt_sims]
+    subsets = list(combinations(range(len(sims)), k))
+    return sum(max(sims[j] for j in subset) for subset in subsets) / len(subsets)
