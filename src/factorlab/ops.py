@@ -187,7 +187,7 @@ def validate_args(spec: OperatorSpec, args: dict, n_inputs: int) -> dict:
 
 def execute_operator(spec: OperatorSpec, inputs: Sequence[Panel], args: dict,
                      flags: list[str] | None = None) -> Panel:
-    """Call the operator's function on validated args by the module's calling rule.
+    """Call the operator's function on validated args by the one calling rule above.
 
     The function is looked up on its module at call time, so a wrapper put on
     the module attribute (a tracer, a test double) sees every call.

@@ -9,6 +9,7 @@ weights renormalized, approximating investing only in tradable names.
 from __future__ import annotations
 
 import functools
+
 import numpy as np
 
 from .errors import DataError
