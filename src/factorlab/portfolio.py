@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .panel import SERIES_ASSET, DateIndex, Panel, reframe
-from .transforms import align_panels
+from .transforms import align_panels, flag_rows
 
 SORT_CELLS_2X3 = ("SG", "SN", "SV", "BG", "BN", "BV")
 
@@ -40,15 +40,12 @@ def weights_from_membership(member: Panel, weight_by: Panel | None = None,
     if np.any(usable & (gw < 0)):
         raise DataError("negative weight basis in a long-only leg")
 
+    no_members = ~np.any(usable & (gw > 0), axis=1)  # bases are >= 0: total <= 0
+    flag_rows(flags, "weights_from_membership", dates, no_members, "no members")
     out = np.full(gm.shape, np.nan)
-    for i in range(len(dates)):
+    for i in np.flatnonzero(~no_members):
         row_use = usable[i]
-        total = float(np.sum(gw[i, row_use]))
-        if not np.any(row_use) or total <= 0:
-            if flags is not None:
-                flags.append(f"weights_from_membership: {dates[i]}: no members")
-            continue
-        out[i, row_use] = gw[i, row_use] / total
+        out[i, row_use] = gw[i, row_use] / float(np.sum(gw[i, row_use]))
     params = {"weighting": "equal" if weight_by is None else "proportional"}
     return Panel.derive("weights_from_membership", params, inputs, dates, assets, out)
 

@@ -3,10 +3,10 @@
 All operators are pure functions: they take immutable panels and return a new
 unregistered panel whose provenance records the operation, its parameters,
 and its input panel ids. Missing propagates at the cell level; no operator
-imputes silently. Cross-sectional operators share one percentile definition
-(linear interpolation between closest ranks, rank = 1 + (m-1) * p / 100) so
-breakpoints are reproducible across winsorize, quantile_bins, and
-xs_percentile_row.
+imputes silently. Cross-sectional operators share one percentile definition,
+``row_percentiles`` (linear interpolation between closest ranks, rank =
+1 + (m-1) * p / 100), so breakpoints are reproducible across winsorize,
+quantile_bins, and xs_percentile_row.
 
 Rolling windows are calendar-month based, not positional: a month absent from
 the date index still consumes window capacity.
@@ -14,7 +14,6 @@ the date index still consumes window capacity.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,37 +63,48 @@ def _align_series(dates: DateIndex, series: Panel) -> np.ndarray:
     return reframe(series.values, series.dates, dates)[:, 0]
 
 
-def _universe_mask(dates: DateIndex, assets, universe: Panel | None) -> np.ndarray:
-    """Boolean in-universe grid: non-missing and nonzero cells of the mask panel."""
+def _sample_mask(a: Panel, universe: Panel | None) -> np.ndarray:
+    """Cells of ``a`` in its per-date sample: non-missing, and nonzero in the universe."""
+    present = ~np.isnan(a.values)
     if universe is None:
-        return np.ones((len(dates), len(assets)), dtype=bool)
-    if set(universe.assets) != set(assets):
+        return present
+    if set(universe.assets) != set(a.assets):
         raise AlignmentError("universe mask asset set differs from panel")
-    ugrid = reframe(universe.values, universe.dates, dates, universe.assets, assets)
-    return ~np.isnan(ugrid) & (ugrid != 0)
+    ugrid = reframe(universe.values, universe.dates, a.dates, universe.assets, a.assets)
+    return present & ~np.isnan(ugrid) & (ugrid != 0)
 
 
-# -- shared percentile machinery --------------------------------------------
+# -- shared per-date machinery ----------------------------------------------
 
 
-def percentile_linear(values: np.ndarray, pct: float) -> float:
-    """Percentile by linear interpolation between closest ranks.
+def row_percentiles(grid: np.ndarray, in_universe: np.ndarray,
+                    pcts: Sequence[float]) -> np.ndarray:
+    """Percentiles of each row's non-missing universe values, shape (T, len(pcts)).
 
-    rank = 1 + (m - 1) * pct / 100 over the m sorted values; fractional ranks
-    interpolate linearly between the bracketing order statistics.
+    rank = 1 + (m - 1) * pct / 100 over the m sorted values of a row; fractional
+    ranks interpolate linearly between the bracketing order statistics. A row
+    with no values gives NaN.
     """
-    vals = np.sort(values[~np.isnan(values)])
-    m = vals.size
-    if m == 0:
-        return float("nan")
-    rank = 1.0 + (m - 1) * pct / 100.0
-    lo = int(np.floor(rank))
-    if lo >= m:
-        return float(vals[m - 1])
+    vals = np.sort(np.where(in_universe, grid, np.nan), axis=1)  # NaN sorts last
+    if not vals.shape[1]:
+        return np.full((len(vals), len(pcts)), np.nan)
+    m = np.count_nonzero(~np.isnan(vals), axis=1)[:, None]
+    rank = 1.0 + (m - 1) * np.asarray(pcts, dtype=np.float64) / 100.0
+    lo = np.floor(rank).astype(np.int64)
     frac = rank - lo
-    if frac == 0.0:
-        return float(vals[lo - 1])
-    return float(vals[lo - 1] + frac * (vals[lo] - vals[lo - 1]))
+
+    def order_stat(k):  # the k-th smallest value of each row, 1-based
+        return np.take_along_axis(vals, np.clip(k - 1, 0, vals.shape[1] - 1), axis=1)
+
+    below = order_stat(lo)
+    between = np.where(frac == 0.0, below, below + frac * (order_stat(lo + 1) - below))
+    return np.where(lo >= m, order_stat(m), between)
+
+
+def flag_rows(flags: list[str] | None, op: str, dates, rows, message: str) -> None:
+    """Append ``"<op>: <period>: <message>"`` to ``flags`` for each marked row, in date order."""
+    if flags is not None:
+        flags.extend(f"{op}: {dates[i]}: {message}" for i in np.flatnonzero(rows))
 
 
 # -- primitive operators -----------------------------------------------------
@@ -167,20 +177,14 @@ def winsorize(a: Panel, lo_pct: float | None = None, hi_pct: float | None = None
     if lo_pct is not None and hi_pct is not None and not lo_pct < hi_pct:
         raise DataError("lo_pct must be below hi_pct")
 
-    dates, assets = a.dates, a.assets
-    in_uni = _universe_mask(dates, assets, universe)
-    out = a.values.copy()
-    for i in range(len(dates)):
-        row = out[i]
-        sample = row[in_uni[i] & ~np.isnan(row)]
-        if sample.size < 1:
-            if flags is not None:
-                flags.append(f"winsorize: {dates[i]}: empty universe, passed through")
-            continue
-        lo = percentile_linear(sample, lo_pct) if lo_pct is not None else -np.inf
-        hi = percentile_linear(sample, hi_pct) if hi_pct is not None else np.inf
-        keep = ~np.isnan(row)
-        row[keep] = np.clip(row[keep], lo, hi)
+    dates, assets, grid = a.dates, a.assets, a.values
+    in_sample = _sample_mask(a, universe)
+    empty = ~np.any(in_sample, axis=1)
+    flag_rows(flags, "winsorize", dates, empty, "empty universe, passed through")
+    bounds = row_percentiles(grid, in_sample, [p for p in (lo_pct, hi_pct) if p is not None])
+    lo = bounds[:, :1] if lo_pct is not None else -np.inf
+    hi = bounds[:, -1:] if hi_pct is not None else np.inf
+    out = np.where(empty[:, None], grid, np.clip(grid, lo, hi))
     params = {"lo_pct": lo_pct, "hi_pct": hi_pct}
     inputs = [a] + ([universe] if universe is not None else [])
     return Panel.derive("winsorize", params, inputs, dates, assets, out)
@@ -194,11 +198,11 @@ def standardize(a: Panel, universe: Panel | None = None,
     standard deviation come out entirely missing and are flagged.
     """
     dates, assets = a.dates, a.assets
-    in_uni = _universe_mask(dates, assets, universe)
+    in_sample = _sample_mask(a, universe)
     out = np.full_like(a.values, np.nan)
     for i in range(len(dates)):
         row = a.values[i]
-        sample = row[in_uni[i] & ~np.isnan(row)]
+        sample = row[in_sample[i]]
         if sample.size < 2:
             if flags is not None:
                 flags.append(f"standardize: {dates[i]}: fewer than 2 universe values")
@@ -230,22 +234,14 @@ def quantile_bins(a: Panel, percentiles: Sequence[float],
     if any(q <= p for p, q in zip(pcts, pcts[1:])):
         raise DataError("percentiles must be strictly increasing")
 
-    dates, assets = a.dates, a.assets
-    in_uni = _universe_mask(dates, assets, universe)
-    out = np.full_like(a.values, np.nan)
-    for i in range(len(dates)):
-        row = a.values[i]
-        sample = row[in_uni[i] & ~np.isnan(row)]
-        if sample.size < 1:
-            if flags is not None:
-                flags.append(f"quantile_bins: {dates[i]}: empty universe")
-            continue
-        breaks = [percentile_linear(sample, p) for p in pcts]
-        present = ~np.isnan(row)
-        bins = np.ones(row.shape)
-        for q in breaks:
-            bins += row > q  # tie at the breakpoint stays in the lower bin
-        out[i, present] = bins[present]
+    dates, assets, grid = a.dates, a.assets, a.values
+    in_sample = _sample_mask(a, universe)
+    empty = ~np.any(in_sample, axis=1)
+    flag_rows(flags, "quantile_bins", dates, empty, "empty universe")
+    bins = np.ones(grid.shape)
+    for q in row_percentiles(grid, in_sample, pcts).T:
+        bins += grid > q[:, None]  # tie at the breakpoint stays in the lower bin
+    out = np.where(np.isnan(grid) | empty[:, None], np.nan, bins)
     params = {"percentiles": pcts}
     inputs = [a] + ([universe] if universe is not None else [])
     return Panel.derive("quantile_bins", params, inputs, dates, assets, out)
@@ -287,21 +283,20 @@ def compare(a: Panel, threshold, op: str = "lt") -> Panel:
     return Panel.derive("compare", params, inputs, dates, assets, out)
 
 
-def xs_percentile_row(a: Panel, pct: float, universe: Panel | None = None) -> Panel:
-    """A series of one scalar per date: the pct-th percentile over universe values."""
+def xs_percentile_row(a: Panel, pct: float, universe: Panel | None = None,
+                      flags: list[str] | None = None) -> Panel:
+    """A series of one scalar per date: the pct-th percentile over universe values.
+
+    Dates with an empty universe are missing and flagged.
+    """
     if not 0 < pct < 100:
         raise DataError("pct must lie strictly inside (0, 100)")
-    dates, assets = a.dates, a.assets
-    in_uni = _universe_mask(dates, assets, universe)
-    out = np.full(len(dates), np.nan)
-    for i in range(len(dates)):
-        row = a.values[i]
-        sample = row[in_uni[i] & ~np.isnan(row)]
-        if sample.size:
-            out[i] = percentile_linear(sample, pct)
+    dates, grid = a.dates, a.values
+    in_sample = _sample_mask(a, universe)
+    flag_rows(flags, "xs_percentile_row", dates, ~np.any(in_sample, axis=1), "empty universe")
     inputs = [a] if universe is None else [a, universe]
     return Panel.derive("xs_percentile_row", {"pct": pct}, inputs, dates, (SERIES_ASSET,),
-                        out.reshape(-1, 1))
+                        row_percentiles(grid, in_sample, [pct]))
 
 
 # -- time-series transforms ----------------------------------------------------
@@ -413,25 +408,22 @@ def ewma(a: Panel, alpha: float, min_periods: int = 1) -> Panel:
     if min_periods < 1:
         raise DataError("min_periods must be >= 1")
 
-    out = np.full_like(a.values, np.nan)
-    for j in range(a.n_assets):
-        out[:, j] = _ewma_column(a.values[:, j], alpha, min_periods)
+    out = _ewma_grid(a.values, alpha, min_periods)
     params = {"alpha": alpha, "min_periods": min_periods}
     return Panel.derive("ewma", params, [a], a.dates, a.assets, out)
 
 
-def _ewma_column(col: np.ndarray, alpha: float, min_periods: int) -> np.ndarray:
-    """The ``ewma`` recursion on one asset's series."""
-    out = np.full(col.shape, np.nan)
-    state = np.nan
-    seen = 0
-    for i, x in enumerate(col.tolist()):
-        if math.isnan(x):
-            continue
-        state = x if seen == 0 else (1.0 - alpha) * state + alpha * x
-        seen += 1
-        if seen >= min_periods:
-            out[i] = state
+def _ewma_grid(grid: np.ndarray, alpha: float, min_periods: int) -> np.ndarray:
+    """The ``ewma`` recursion down every column of a grid, one date at a time."""
+    out = np.full(grid.shape, np.nan)
+    state = np.full(grid.shape[1], np.nan)
+    seen = np.zeros(grid.shape[1], dtype=np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i, x in enumerate(grid):
+            obs = ~np.isnan(x)
+            state[obs] = np.where(seen == 0, x, (1.0 - alpha) * state + alpha * x)[obs]
+            seen += obs
+            out[i] = np.where(obs & (seen >= min_periods), state, np.nan)
     return out
 
 
@@ -443,9 +435,10 @@ _SERIES_TRANSFORMS: dict[str, Callable] = {}
 def register_series_transform(name: str, factory: Callable) -> None:
     """Register a named per-asset series transform usable through ``trend``.
 
-    ``factory(**params)`` must return a function mapping a 1-D float array
-    (NaN = missing) to an equal-length array. Named registration is the
-    bounded substitute for arbitrary generated code.
+    ``factory(**params)`` must return a function mapping a T x N float grid
+    (NaN = missing, one column per asset) to a grid of the same shape, each
+    output column computed from its own input column alone. Named
+    registration is the bounded substitute for arbitrary generated code.
     """
     _SERIES_TRANSFORMS[name] = factory
 
@@ -455,19 +448,18 @@ def series_transform_names() -> list[str]:
 
 
 def trend(a: Panel, name: str, params: dict | None = None) -> Panel:
-    """Apply a registered series transform independently to each asset."""
+    """Apply a registered series transform independently to each asset.
+
+    The transform gets a writable copy of the whole grid in one call.
+    """
     if name not in _SERIES_TRANSFORMS:
         raise DataError(
             f"unknown series transform {name!r}; registered: {series_transform_names()}"
         )
     fn = _SERIES_TRANSFORMS[name](**(params or {}))
-    out = np.full_like(a.values, np.nan)
-    for j in range(a.values.shape[1]):
-        col = fn(a.values[:, j].copy())
-        col = np.asarray(col, dtype=np.float64).reshape(-1)
-        if col.shape[0] != a.values.shape[0]:
-            raise DataError(f"series transform {name!r} changed the series length")
-        out[:, j] = col
+    out = np.asarray(fn(a.values.copy()), dtype=np.float64)
+    if out.shape != a.values.shape:
+        raise DataError(f"series transform {name!r} changed the grid shape")
     record = {"name": name}
     if params:
         record["params"] = params
@@ -475,26 +467,15 @@ def trend(a: Panel, name: str, params: dict | None = None) -> Panel:
 
 
 def _identity_factory():
-    return lambda col: col
+    return lambda grid: grid
 
 
 def _cumsum_factory():
-    def run(col):
-        out = np.full_like(col, np.nan)
-        total = 0.0
-        for i, x in enumerate(col):
-            if np.isnan(x):
-                continue
-            total += x
-            out[i] = total
-        return out
-    return run
+    return lambda grid: np.where(np.isnan(grid), np.nan, np.nancumsum(grid, axis=0))
 
 
 def _ewma_factory(alpha: float, min_periods: int = 1):
-    def run(col):
-        return _ewma_column(col, alpha, min_periods)
-    return run
+    return lambda grid: _ewma_grid(grid, alpha, min_periods)
 
 
 register_series_transform("identity", _identity_factory)

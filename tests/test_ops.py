@@ -100,3 +100,19 @@ def test_apply_step_calls_the_function_on_its_module_at_call_time(monkeypatch):
     assert calls == [["flags", "percentiles", "universe"]]
     assert registry.get(panel_id).values.tolist() == [[1.0, 2.0]]
     assert record["flags"] == []
+
+
+@pytest.mark.parametrize("op, args", [
+    ("quantile_bins", {"percentiles": [50.0]}),
+    ("xs_percentile_row", {"pct": 50.0}),
+])
+def test_apply_step_flags_a_date_with_an_empty_universe(op, args):
+    periods = ["1990-01", "1990-02"]
+    registry = PanelRegistry()
+    registry.register(make_panel("X", periods, ["a", "b"], [[1.0, 2.0], [3.0, 4.0]]))
+    registry.register(make_panel("U", periods, ["a", "b"], [[1.0, 1.0], [0.0, 0.0]]))
+    panel_id, record = apply_step(registry, op, ["X", "U"], args)
+    assert record["flags"] == [f"{op}: 1990-02: empty universe"]
+    values = registry.get(panel_id).values
+    assert all(map(math.isnan, values[1]))
+    assert not any(map(math.isnan, values[0]))

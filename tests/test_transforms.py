@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,11 @@ from .oracles import pct_interpolate
 def row_panel(values, panel_id="P"):
     assets = [f"a{j}" for j in range(len(values))]
     return make_panel(panel_id, ["2000-01"], assets, [values])
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestBinaryOp:
@@ -346,9 +353,7 @@ class TestTrend:
         p = make_panel("P", periods, ["a", "b"], rng.normal(size=(12, 2)).tolist())
         via_trend = tr.trend(p, "ewma", {"alpha": 0.06, "min_periods": 3})
         direct = tr.ewma(p, 0.06, min_periods=3)
-        assert via_trend.value_equal(
-            Panel.source("x", list(direct.dates), direct.assets, direct.values)
-        )
+        assert_same_bits(via_trend.values, direct.values)
 
     def test_cumsum(self):
         p = make_panel("P", ["2000-01", "2000-02", "2000-03"], ["a"],
@@ -356,9 +361,27 @@ class TestTrend:
         out = tr.trend(p, "cumsum")
         assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
 
+    def test_cumsum_skips_gaps_and_leading_missing(self):
+        p = make_panel("P", [f"2000-{m:02d}" for m in range(1, 6)], ["a", "b"],
+                       [[None, 1.0], [1.0, None], [None, None], [2.5, -3.0], [None, 1.0]])
+        out = tr.trend(p, "cumsum").values
+        np.testing.assert_array_equal(out[:, 0], [np.nan, 1.0, np.nan, 3.5, np.nan])
+        np.testing.assert_array_equal(out[:, 1], [1.0, np.nan, np.nan, -2.0, -1.0])
+
     def test_unknown_transform(self):
         with pytest.raises(DataError, match="unknown series transform"):
             tr.trend(row_panel([1.0]), "frobnicate")
+
+    def test_transform_that_changes_the_shape(self, monkeypatch):
+        monkeypatch.setitem(tr._SERIES_TRANSFORMS, "drop_last", lambda: lambda grid: grid[:-1])
+        p = make_panel("P", ["2000-01", "2000-02"], ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(DataError, match="changed the grid shape"):
+            tr.trend(p, "drop_last")
+
+    def test_unknown_parameter_names_the_factory(self):
+        with pytest.raises(TypeError, match=r"^_ewma_factory\(\) got an unexpected "
+                                            r"keyword argument 'bogus'$"):
+            tr.trend(row_panel([1.0]), "ewma", {"bogus": 1})
 
 
 class TestAnnualToMonthly:
@@ -513,11 +536,219 @@ def test_percentile_matches_oracle(data, pct):
     present = sorted(v for v in data if v is not None)
     p = row_panel(data)
     series = tr.xs_percentile_row(p, pct)
+    bins = tr.quantile_bins(p, [pct]).values[0]
     if not present:
         assert np.isnan(series.values[0])
+        assert np.isnan(bins).all()
         return
     expected = pct_interpolate(present, pct)
     assert abs(series.values[0] - expected) <= 1e-12
+    # a value tied with the breakpoint stays in the lower bin
+    np.testing.assert_array_equal(
+        bins, [np.nan if v is None else 1.0 + (v > expected) for v in data])
 
     wins = tr.winsorize(p, hi_pct=pct)
     assert np.nanmax(wins.values) <= expected + 1e-12
+
+
+# -- row kernels vs the per-date and per-asset loops they replaced --------------
+
+
+def reference_percentile_linear(values, pct):
+    vals = np.sort(values[~np.isnan(values)])
+    m = vals.size
+    if m == 0:
+        return float("nan")
+    rank = 1.0 + (m - 1) * pct / 100.0
+    lo = int(np.floor(rank))
+    if lo >= m:
+        return float(vals[m - 1])
+    frac = rank - lo
+    if frac == 0.0:
+        return float(vals[lo - 1])
+    return float(vals[lo - 1] + frac * (vals[lo] - vals[lo - 1]))
+
+
+def reference_winsorize(a, lo_pct, hi_pct, in_uni, flags):
+    out = a.values.copy()
+    for i in range(len(a.dates)):
+        row = out[i]
+        sample = row[in_uni[i] & ~np.isnan(row)]
+        if sample.size < 1:
+            flags.append(f"winsorize: {a.dates[i]}: empty universe, passed through")
+            continue
+        lo = reference_percentile_linear(sample, lo_pct) if lo_pct is not None else -np.inf
+        hi = reference_percentile_linear(sample, hi_pct) if hi_pct is not None else np.inf
+        keep = ~np.isnan(row)
+        row[keep] = np.clip(row[keep], lo, hi)
+    return out
+
+
+def reference_quantile_bins(a, pcts, in_uni, flags):
+    out = np.full_like(a.values, np.nan)
+    for i in range(len(a.dates)):
+        row = a.values[i]
+        sample = row[in_uni[i] & ~np.isnan(row)]
+        if sample.size < 1:
+            flags.append(f"quantile_bins: {a.dates[i]}: empty universe")
+            continue
+        breaks = [reference_percentile_linear(sample, p) for p in pcts]
+        present = ~np.isnan(row)
+        bins = np.ones(row.shape)
+        for q in breaks:
+            bins += row > q
+        out[i, present] = bins[present]
+    return out
+
+
+def reference_xs_percentile_row(a, pct, in_uni):
+    out = np.full(len(a.dates), np.nan)
+    for i in range(len(a.dates)):
+        row = a.values[i]
+        sample = row[in_uni[i] & ~np.isnan(row)]
+        if sample.size:
+            out[i] = reference_percentile_linear(sample, pct)
+    return out.reshape(-1, 1)
+
+
+def reference_ewma_column(col, alpha, min_periods):
+    out = np.full(col.shape, np.nan)
+    state = np.nan
+    seen = 0
+    for i, x in enumerate(col.tolist()):
+        if math.isnan(x):
+            continue
+        state = x if seen == 0 else (1.0 - alpha) * state + alpha * x
+        seen += 1
+        if seen >= min_periods:
+            out[i] = state
+    return out
+
+
+def reference_cumsum(col):
+    out = np.full_like(col, np.nan)
+    total = 0.0
+    for i, x in enumerate(col):
+        if np.isnan(x):
+            continue
+        total += x
+        out[i] = total
+    return out
+
+
+def kernel_case(seed, n_dates, n_assets, values=None):
+    """A seeded panel, its universe panel and the universe as a boolean grid.
+
+    The values have ties, missing cells and two all-missing dates; the
+    universe has missing and zero cells and one date where it is empty.
+    """
+    rng = np.random.default_rng(seed)
+    if values is None:
+        values = rng.normal(size=(n_dates, n_assets))
+        ties = rng.random(values.shape) < 0.3
+        values[ties] = rng.integers(-4, 5, size=int(ties.sum())) / 2.0
+        values[rng.random(values.shape) < 0.1] = np.nan
+        values[rng.integers(n_dates, size=2)] = np.nan
+    universe = (rng.random((n_dates, n_assets)) < 0.7).astype(np.float64)
+    universe[rng.random(universe.shape) < 0.05] = np.nan
+    universe[rng.integers(n_dates)] = 0.0
+    periods = [f"{1900 + m // 12}-{m % 12 + 1:02d}" for m in range(n_dates)]
+    assets = [f"a{j}" for j in range(n_assets)]
+    return (Panel.source("X", periods, assets, values),
+            Panel.source("U", periods, assets, universe),
+            ~np.isnan(universe) & (universe != 0))
+
+
+PERCENTILES = ([50.0], [30.0, 70.0], [100.0 / 3.0, 200.0 / 3.0], [20.0])
+BOUNDS = ((0.0, 100.0), (1.0, 99.0), (None, 80.0), (20.0, None))
+EWMA_ARGS = ((0.06, 1), (0.5, 3), (1.0, 1))
+
+
+@pytest.fixture(scope="module", params=[(120, 50), (1200, 100), (72, 500)],
+                ids=lambda shape: "x".join(map(str, shape)))
+def seeded(request):
+    return kernel_case(11, *request.param)
+
+
+class TestRowKernelsMatchTheLoops:
+    @pytest.mark.parametrize("pcts", PERCENTILES)
+    def test_quantile_bins(self, seeded, pcts):
+        a, universe, in_uni = seeded
+        flags, expected_flags = [], []
+        out = tr.quantile_bins(a, pcts, universe=universe, flags=flags)
+        assert_same_bits(out.values, reference_quantile_bins(a, pcts, in_uni, expected_flags))
+        assert flags == expected_flags and flags
+
+    @pytest.mark.parametrize("pct", sorted({p for pcts in PERCENTILES for p in pcts}))
+    def test_xs_percentile_row(self, seeded, pct):
+        a, universe, in_uni = seeded
+        flags = []
+        expected = reference_xs_percentile_row(a, pct, in_uni)
+        assert_same_bits(tr.xs_percentile_row(a, pct, universe, flags).values, expected)
+        assert flags == [f"xs_percentile_row: {a.dates[i]}: empty universe"
+                         for i in np.flatnonzero(np.isnan(expected[:, 0]))]
+
+    @pytest.mark.parametrize("lo_pct, hi_pct", BOUNDS)
+    def test_winsorize(self, seeded, lo_pct, hi_pct):
+        a, universe, in_uni = seeded
+        flags, expected_flags = [], []
+        out = tr.winsorize(a, lo_pct, hi_pct, universe=universe, flags=flags)
+        assert_same_bits(out.values, reference_winsorize(a, lo_pct, hi_pct, in_uni,
+                                                         expected_flags))
+        assert flags == expected_flags and flags
+
+    def test_without_a_universe(self, seeded):
+        a, _, _ = seeded
+        everyone = np.ones(a.values.shape, dtype=bool)
+        assert_same_bits(tr.quantile_bins(a, [30.0, 70.0]).values,
+                         reference_quantile_bins(a, [30.0, 70.0], everyone, []))
+        assert_same_bits(tr.winsorize(a, 1.0, 99.0).values,
+                         reference_winsorize(a, 1.0, 99.0, everyone, []))
+
+    @pytest.mark.parametrize("alpha, min_periods", EWMA_ARGS)
+    def test_ewma(self, seeded, alpha, min_periods):
+        a = seeded[0]
+        expected = np.column_stack([reference_ewma_column(col, alpha, min_periods)
+                                    for col in a.values.T])
+        assert_same_bits(tr.ewma(a, alpha, min_periods).values, expected)
+        via_trend = tr.trend(a, "ewma", {"alpha": alpha, "min_periods": min_periods})
+        assert_same_bits(via_trend.values, expected)
+
+    def test_cumsum(self, seeded):
+        a = seeded[0]
+        expected = np.column_stack([reference_cumsum(col) for col in a.values.T])
+        assert_same_bits(tr.trend(a, "cumsum").values, expected)
+
+
+def test_signed_zeros_are_value_equal_to_the_loops():
+    """Rows holding both -0.0 and 0.0: the sort order of equal keys picks the
+    sign of a zero breakpoint, so only values are compared."""
+    rng = np.random.default_rng(5)
+    values = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.5, np.nan], size=(60, 40))
+    a, universe, in_uni = kernel_case(5, 60, 40, values)
+    for pcts in PERCENTILES:
+        np.testing.assert_array_equal(tr.quantile_bins(a, pcts, universe).values,
+                                      reference_quantile_bins(a, pcts, in_uni, []))
+        for pct in pcts:
+            np.testing.assert_array_equal(tr.xs_percentile_row(a, pct, universe).values,
+                                          reference_xs_percentile_row(a, pct, in_uni))
+    for lo_pct, hi_pct in BOUNDS:
+        np.testing.assert_array_equal(
+            tr.winsorize(a, lo_pct, hi_pct, universe).values,
+            reference_winsorize(a, lo_pct, hi_pct, in_uni, []))
+    for alpha, min_periods in EWMA_ARGS:
+        np.testing.assert_array_equal(
+            tr.ewma(a, alpha, min_periods).values,
+            np.column_stack([reference_ewma_column(c, alpha, min_periods) for c in a.values.T]))
+    np.testing.assert_array_equal(tr.trend(a, "cumsum").values,
+                                  np.column_stack([reference_cumsum(c) for c in a.values.T]))
+
+
+def test_a_panel_without_assets_has_an_empty_universe_on_every_date():
+    a = Panel.source("X", ["2000-01", "2000-02"], (), np.empty((2, 0)))
+    flags = []
+    assert tr.quantile_bins(a, [50.0], flags=flags).values.shape == (2, 0)
+    assert tr.winsorize(a, 10.0, 90.0).values.shape == (2, 0)
+    assert np.isnan(tr.xs_percentile_row(a, 50.0).values).all()
+    assert flags == ["quantile_bins: 2000-01: empty universe",
+                     "quantile_bins: 2000-02: empty universe"]
