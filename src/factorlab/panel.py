@@ -55,9 +55,9 @@ def ordinal_to_period(ordinal: int) -> str:
 
 
 class DateIndex:
-    """Strictly increasing sequence of monthly periods. Gaps are allowed."""
+    """Strictly increasing monthly periods, gaps allowed. ``next_month_rows`` is the t+1 lookup."""
 
-    __slots__ = ("periods", "ordinals", "_pos")
+    __slots__ = ("periods", "ordinals")
 
     def __init__(self, periods: Sequence[str]):
         periods = tuple(periods)
@@ -67,7 +67,6 @@ class DateIndex:
         self.periods = periods
         self.ordinals = ordinals
         self.ordinals.setflags(write=False)
-        self._pos = {int(o): i for i, o in enumerate(ordinals)}
 
     @classmethod
     def from_ordinals(cls, ordinals: Iterable[int]) -> "DateIndex":
@@ -95,9 +94,11 @@ class DateIndex:
             return "DateIndex([])"
         return f"DateIndex({self.periods[0]}..{self.periods[-1]}, n={len(self)})"
 
-    def position(self, ordinal: int) -> int | None:
-        """Row index of a month ordinal, or None when the period is absent."""
-        return self._pos.get(int(ordinal))
+    def next_month_rows(self) -> np.ndarray:
+        """Row of the next calendar month for each row, or -1 when that month is absent."""
+        nxt = np.searchsorted(self.ordinals, self.ordinals + 1)
+        found = self.ordinals[np.minimum(nxt, len(self) - 1)] == self.ordinals + 1
+        return np.where(found, nxt, -1)
 
     def rows_between(self, lo: int, hi: int) -> slice:
         """Rows of the months with ordinal in ``[lo, hi)``, in date order.
@@ -115,12 +116,10 @@ class DateIndex:
     def union(self, other: "DateIndex") -> "DateIndex":
         if self == other:
             return self
-        merged = sorted(set(self._pos) | set(other._pos))
-        return DateIndex.from_ordinals(merged)
+        return DateIndex.from_ordinals(np.union1d(self.ordinals, other.ordinals))
 
     def intersection(self, other: "DateIndex") -> "DateIndex":
-        common = sorted(set(self._pos) & set(other._pos))
-        return DateIndex.from_ordinals(common)
+        return DateIndex.from_ordinals(np.intersect1d(self.ordinals, other.ordinals))
 
 
 def reframe(values: np.ndarray, src_dates: DateIndex, dates: DateIndex,
@@ -528,7 +527,8 @@ def load(directory, panel_id: str) -> Panel:
         raise DataError(f"{meta_path}: cannot read: {exc}") from exc
     try:  # a document that is not an object fails on the first lookup
         dates, assets = DateIndex(meta["dates"]), tuple(meta["assets"])
-        panel_id = str(meta["panel_id"])
+        if meta["panel_id"] != panel_id:
+            raise ValueError(f"panel_id {meta['panel_id']!r} is not the file's {panel_id!r}")
         provenance = ProvenanceRecord.from_dict(meta["provenance"])
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
         raise DataError(f"{meta_path}: bad metadata: {type(exc).__name__}: {exc}") from exc

@@ -3,7 +3,9 @@
 Timing convention, fixed globally: weights formed with information at month t
 earn month t+1 returns, and the result is stamped at t+1 (no lookahead).
 Assets whose next-month return is missing are dropped and the surviving
-weights renormalized, approximating investing only in tradable names.
+weights renormalized, approximating investing only in tradable names. Both
+operators renormalise through one masked helper, ``_renormalized``, so their
+sums may differ from a per-row loop by ulps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ from .panel import SERIES_ASSET, DateIndex, Panel, reframe
 from .transforms import align_panels, flag_rows
 
 SORT_CELLS_2X3 = ("SG", "SN", "SV", "BG", "BN", "BV")
+
+
+def _renormalized(grid: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masked cells over their row's masked sum; NaN off the mask and where that sum is <= 0."""
+    total = np.where(mask, grid, 0.0).sum(axis=1, keepdims=True)
+    return np.divide(grid, total, out=np.full(grid.shape, np.nan), where=mask & (total > 0))
 
 
 def weights_from_membership(member: Panel, weight_by: Panel | None = None,
@@ -40,12 +48,9 @@ def weights_from_membership(member: Panel, weight_by: Panel | None = None,
     if np.any(usable & (gw < 0)):
         raise DataError("negative weight basis in a long-only leg")
 
-    no_members = ~np.any(usable & (gw > 0), axis=1)  # bases are >= 0: total <= 0
+    out = _renormalized(gw, usable)
+    no_members = np.all(np.isnan(out), axis=1)
     flag_rows(flags, "weights_from_membership", dates, no_members, "no members")
-    out = np.full(gm.shape, np.nan)
-    for i in np.flatnonzero(~no_members):
-        row_use = usable[i]
-        out[i, row_use] = gw[i, row_use] / float(np.sum(gw[i, row_use]))
     params = {"weighting": "equal" if weight_by is None else "proportional"}
     return Panel.derive("weights_from_membership", params, inputs, dates, assets, out)
 
@@ -55,33 +60,20 @@ def portfolio_return(w: Panel, r: Panel, flags: list[str] | None = None) -> Pane
 
     For each formation date t with weights, the return stamped at calendar
     month t+1 is the weight-renormalized average of r at t+1 over assets with
-    a non-missing return. Formation dates whose t+1 is beyond the index
+    a non-missing return. Formation dates whose month t+1 is not in the index
     produce no output.
     """
     dates, assets, (gw, gr) = align_panels(w, r)
-    stamped: list[int] = []
-    values: list[float] = []
-    for i, o in enumerate(dates.ordinals):
-        wrow = gw[i]
-        held = ~np.isnan(wrow)
-        if not np.any(held):
-            continue
-        nxt = dates.position(int(o) + 1)
-        if nxt is None:
-            continue
-        rrow = gr[nxt]
-        live = held & ~np.isnan(rrow)
-        total = float(np.sum(wrow[live]))
-        if not np.any(live) or total <= 0:
-            if flags is not None:
-                flags.append(f"portfolio_return: {dates[nxt]}: no tradable members")
-            stamped.append(int(o) + 1)
-            values.append(np.nan)
-            continue
-        stamped.append(int(o) + 1)
-        values.append(float(np.sum((wrow[live] / total) * rrow[live])))
-    return Panel.derive("portfolio_return", {}, [w, r], DateIndex.from_ordinals(stamped),
-                        (SERIES_ASSET,), np.array(values, dtype=np.float64).reshape(-1, 1))
+    nxt = dates.next_month_rows()
+    rows = np.flatnonzero(np.any(~np.isnan(gw), axis=1) & (nxt >= 0))
+    held, ret = gw[rows], gr[nxt[rows]]
+    shares = _renormalized(held, ~np.isnan(held) & ~np.isnan(ret))
+    untradable = np.all(np.isnan(shares), axis=1)
+    values = np.where(untradable, np.nan, np.nansum(shares * ret, axis=1))
+    stamped = DateIndex.from_ordinals(dates.ordinals[rows] + 1)
+    flag_rows(flags, "portfolio_return", stamped, untradable, "no tradable members")
+    return Panel.derive("portfolio_return", {}, [w, r], stamped,
+                        (SERIES_ASSET,), values.reshape(-1, 1))
 
 
 def independent_sort_2x3(size_bins: Panel, value_bins: Panel, cell: str) -> Panel:

@@ -163,11 +163,9 @@ def fama_macbeth(returns: Panel, characteristics: Sequence[Panel]) -> FMBResult:
 
     slopes = []
     skipped = 0
-    for i, o in enumerate(dates.ordinals):
-        nxt = dates.position(int(o) + 1)
-        if nxt is None:
-            continue
-        y = rets[nxt]
+    nxt = dates.next_month_rows()
+    for i in np.flatnonzero(nxt >= 0):
+        y = rets[nxt[i]]
         xcols = [c[i] for c in chars]
         keep = ~np.isnan(y)
         for c in xcols:

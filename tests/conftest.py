@@ -28,6 +28,12 @@ def make_panel(panel_id, periods, assets, rows) -> Panel:
     return Panel.source(panel_id, DateIndex(periods), tuple(assets), grid)
 
 
+def month_rows(dates: DateIndex) -> dict[int, int]:
+    """Row of each month ordinal in ``dates``: the per-month lookup the
+    vectorized row maps are checked against."""
+    return {int(o): i for i, o in enumerate(dates.ordinals)}
+
+
 @pytest.fixture(scope="session")
 def synthetic_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synthetic")

@@ -19,7 +19,7 @@ from factorlab.ingest import (
 from factorlab.panel import DateIndex, Panel, month_ordinal
 from factorlab.synthetic import GeneratorConfig, generate_synthetic
 
-from .conftest import make_panel
+from .conftest import make_panel, month_rows
 
 
 def write_monthly(path, rows):
@@ -188,7 +188,7 @@ def reference_ingest_monthly(csv_path) -> IngestResult:
     ordinals = sorted({r[0] for r in rows})
     assets = sorted({r[1] for r in rows})
     dates = DateIndex.from_ordinals(ordinals)
-    pos_d = {o: i for i, o in enumerate(ordinals)}
+    pos_d = month_rows(dates)
     pos_a = {a: j for j, a in enumerate(assets)}
     grids = {name: np.full((len(dates), len(assets)), np.nan)
              for name in ("RET", "CAP", "CAPCO", "NYSE")}
@@ -237,10 +237,10 @@ def reference_ingest_annual(csv_path, frame=None) -> IngestResult:
     else:
         dates = DateIndex.from_ordinals(sorted({r[0] for r in rows}))
         assets = tuple(sorted({r[1] for r in rows}))
-    pos_a = {a: j for j, a in enumerate(assets)}
+    pos_d, pos_a = month_rows(dates), {a: j for j, a in enumerate(assets)}
     grids = {col: np.full((len(dates), len(assets)), np.nan) for col in columns}
     for ordinal, asset, cells in rows:
-        i = dates.position(ordinal)
+        i = pos_d.get(ordinal)
         j = pos_a.get(asset)
         if i is None or j is None:
             skipped += 1

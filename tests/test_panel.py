@@ -21,7 +21,7 @@ from factorlab.panel import (
     topological_order,
 )
 
-from .conftest import make_panel
+from .conftest import make_panel, month_rows
 
 
 class TestDateIndex:
@@ -34,7 +34,7 @@ class TestDateIndex:
     def test_gaps_allowed(self):
         idx = DateIndex(["1990-01", "1990-03"])
         assert len(idx) == 2
-        assert idx.position(month_ordinal("1990-02")) is None
+        assert idx.next_month_rows().tolist() == [-1, -1]
 
     def test_month_arithmetic_round_trip(self):
         for period in ("1990-01", "1999-12", "2023-07"):
@@ -49,11 +49,23 @@ class TestDateIndex:
     def test_rows_between_matches_a_per_month_lookup(self):
         idx = DateIndex(["1990-01", "1990-02", "1990-05", "1990-06", "1991-01"])
         first, last = int(idx.ordinals[0]), int(idx.ordinals[-1])
+        rows = month_rows(idx)
         for lo in range(first - 3, last + 4):
             for hi in range(lo - 1, last + 5):
-                per_month = [idx.position(m) for m in range(lo, hi)]
-                expected = [pos for pos in per_month if pos is not None]
+                expected = [rows[m] for m in range(lo, hi) if m in rows]
                 assert list(range(len(idx)))[idx.rows_between(lo, hi)] == expected
+
+    @pytest.mark.parametrize("periods", [
+        ["1990-01", "1990-02", "1990-05", "1990-06", "1990-12", "1991-01", "9999-12"],
+        ["1990-01"],
+        [],
+    ], ids=["gapped", "one_row", "empty"])
+    def test_next_month_rows_matches_a_per_month_lookup(self, periods):
+        idx = DateIndex(periods)
+        rows = month_rows(idx)
+        nxt = idx.next_month_rows()
+        assert nxt.dtype == np.int64
+        assert nxt.tolist() == [rows.get(int(o) + 1, -1) for o in idx.ordinals]
 
     def test_rows_between_clamps_bounds_of_any_size(self):
         idx = DateIndex(["1990-01", "1990-03"])
@@ -266,6 +278,7 @@ class TestSaveLoad:
         *({k: v for k, v in META.items() if k != key} for key in META if key != "date_span"),
         {**META, "dates": 5}, {**META, "dates": [199001]}, {**META, "assets": 7},
         {**META, "provenance": "source"}, {**META, "provenance": {"params": {}}},
+        {**META, "panel_id": "Q"}, {**META, "panel_id": "../../x"},
     ])
     def test_load_rejects_malformed_metadata(self, tmp_path, meta):
         panelio.save(make_panel("P", ["1990-01"], ["a"], [[1.0]]), tmp_path)

@@ -10,7 +10,7 @@ from factorlab import transforms as tr
 from factorlab.errors import DataError
 from factorlab.panel import SERIES_ASSET, DateIndex, Panel
 
-from .conftest import make_panel
+from .conftest import make_panel, month_rows
 
 
 def series(pairs, name="s"):
@@ -118,6 +118,106 @@ class TestPortfolioReturn:
         w = pf.weights_from_membership(member)
         out = pf.portfolio_return(w, r)
         np.testing.assert_allclose(out.values[:, 0], rets[1:].mean(axis=1), atol=1e-12)
+
+
+# -- masked renormalisation vs the per-date loops it replaced ------------------
+
+
+def reference_weights_from_membership(member, weight_by, flags):
+    gm = member.values
+    gw = np.where(~np.isnan(gm), 1.0, np.nan) if weight_by is None else weight_by.values
+    usable = ~np.isnan(gm) & (gm != 0) & ~np.isnan(gw)
+    out = np.full(gm.shape, np.nan)
+    for i in range(len(member.dates)):
+        row_use = usable[i]
+        total = float(np.sum(gw[i, row_use]))
+        if total <= 0:
+            flags.append(f"weights_from_membership: {member.dates[i]}: no members")
+            continue
+        out[i, row_use] = gw[i, row_use] / total
+    return out
+
+
+def reference_portfolio_return(w, r, flags):
+    rows = month_rows(w.dates)
+    stamped, values = [], []
+    for i, o in enumerate(w.dates.ordinals):
+        wrow = w.values[i]
+        held = ~np.isnan(wrow)
+        nxt = rows.get(int(o) + 1)
+        if not np.any(held) or nxt is None:
+            continue
+        rrow = r.values[nxt]
+        live = held & ~np.isnan(rrow)
+        total = float(np.sum(wrow[live]))
+        stamped.append(w.dates[nxt])
+        if not np.any(live) or total <= 0:
+            flags.append(f"portfolio_return: {w.dates[nxt]}: no tradable members")
+            values.append(np.nan)
+            continue
+        values.append(float(np.sum((wrow[live] / total) * rrow[live])))
+    return stamped, np.array(values).reshape(-1, 1)
+
+
+def assert_close_with_same_missing(got, expected):
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
+
+
+def portfolio_case(seed, n_dates, n_assets):
+    """Membership, caps, returns and signed weights on gapped dates.
+
+    Planted: a date with no members, one date whose returns are all missing,
+    missing caps and returns, and dates whose next month is a gap. A tenth of
+    the signed weight rows are all negative, so their totals are below zero.
+    """
+    rng = np.random.default_rng(seed)
+    months = np.flatnonzero(rng.random(n_dates * 5 // 4) > 0.2)[:n_dates]
+    periods = [f"{1900 + m // 12}-{m % 12 + 1:02d}" for m in months]
+    assets = [f"a{j}" for j in range(n_assets)]
+    member = (rng.random((n_dates, n_assets)) < 0.4).astype(np.float64)
+    member[rng.random(member.shape) < 0.05] = np.nan
+    member[n_dates // 3] = 0.0
+    caps = rng.lognormal(3.0, 1.0, size=(n_dates, n_assets))
+    caps[rng.random(caps.shape) < 0.1] = np.nan
+    rets = rng.normal(0.01, 0.08, size=(n_dates, n_assets))
+    rets[rng.random(rets.shape) < 0.1] = np.nan
+    rets[int(np.flatnonzero(np.diff(months) == 1)[-1]) + 1] = np.nan
+    signed = rng.uniform(0.1, 1.0, size=(n_dates, n_assets))
+    signed[rng.random(n_dates) < 0.1] *= -1.0
+    signed[rng.random(signed.shape) < 0.3] = np.nan
+    return tuple(Panel.source(name, periods, assets, grid) for name, grid in
+                 (("M", member), ("C", caps), ("R", rets), ("W", signed)))
+
+
+@pytest.fixture(scope="module", params=[(120, 50), (1200, 100), (72, 500)],
+                ids=lambda shape: "x".join(map(str, shape)))
+def seeded(request):
+    return portfolio_case(13, *request.param)
+
+
+class TestMaskedRenormalisationMatchesTheLoops:
+    @pytest.mark.parametrize("by_cap", [True, False], ids=["cap", "equal"])
+    def test_weights_from_membership(self, seeded, by_cap):
+        member, caps = seeded[:2]
+        weight_by = caps if by_cap else None
+        flags, expected_flags = [], []
+        out = pf.weights_from_membership(member, weight_by, flags)
+        expected = reference_weights_from_membership(member, weight_by, expected_flags)
+        assert_close_with_same_missing(out.values, expected)
+        assert flags == expected_flags and flags
+
+    @pytest.mark.parametrize("weights", ["cap", "equal", "signed"])
+    def test_portfolio_return(self, seeded, weights):
+        member, caps, rets, signed = seeded
+        w = signed if weights == "signed" else pf.weights_from_membership(
+            member, caps if weights == "cap" else None)
+        flags, expected_flags = [], []
+        out = pf.portfolio_return(w, rets, flags)
+        stamped, expected = reference_portfolio_return(w, rets, expected_flags)
+        assert list(out.dates) == stamped
+        assert_close_with_same_missing(out.values, expected)
+        assert flags == expected_flags and flags
 
 
 def sort_cells(size_bins, value_bins) -> dict[str, Panel]:

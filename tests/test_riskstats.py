@@ -141,19 +141,23 @@ class TestFamaMacbeth:
 
     def test_two_characteristics_exact(self):
         rng = np.random.default_rng(7)
-        periods = [f"2000-{m:02d}" for m in range(1, 13)]
         assets = [f"a{j}" for j in range(8)]
         c1 = rng.normal(size=(12, 8))
         c2 = rng.normal(size=(12, 8))
         ret = np.full((12, 8), np.nan)
         ret[1:] = 0.3 * c1[:-1] - 0.2 * c2[:-1]
-        res = rs.fama_macbeth(
-            make_panel("RET", periods, assets, ret.tolist()),
-            [make_panel("C1", periods, assets, c1.tolist()),
-             make_panel("C2", periods, assets, c2.tolist())],
-        )
-        assert res.mean_coeffs[0] == pytest.approx(0.3, abs=1e-10)
-        assert res.mean_coeffs[1] == pytest.approx(-0.2, abs=1e-10)
+        # on the gapped index a row's next row is month t+1 only 8 times in 11
+        gapped = ["2000-01", "2000-02", "2000-04", "2000-05", "2000-06", "2000-08",
+                  "2000-09", "2000-10", "2000-11", "2001-01", "2001-02", "2001-03"]
+        for periods, n_months in (([f"2000-{m:02d}" for m in range(1, 13)], 11), (gapped, 8)):
+            res = rs.fama_macbeth(
+                make_panel("RET", periods, assets, ret.tolist()),
+                [make_panel("C1", periods, assets, c1.tolist()),
+                 make_panel("C2", periods, assets, c2.tolist())],
+            )
+            assert res.mean_coeffs[0] == pytest.approx(0.3, abs=1e-10)
+            assert res.mean_coeffs[1] == pytest.approx(-0.2, abs=1e-10)
+            assert (res.n_months, res.n_skipped) == (n_months, 0)
 
     def test_constant_characteristic_months_skipped(self):
         periods = [f"2000-{m:02d}" for m in range(1, 7)]

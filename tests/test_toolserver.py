@@ -150,7 +150,7 @@ def test_load_source_refuses_a_path_outside_the_directory(server, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["not_an_object", "dates", "assets", "panel_id",
-                                  "provenance", "csv_not_utf8"])
+                                  "provenance", "csv_not_utf8", "panel_id_differs"])
 def test_load_source_of_a_malformed_saved_panel_is_a_runtime_error(server, tmp_path, case):
     panelio.save(server.registry.get("S"), tmp_path)
     meta_path = tmp_path / "S.meta.json"
@@ -160,6 +160,8 @@ def test_load_source_of_a_malformed_saved_panel_is_a_runtime_error(server, tmp_p
         csv_path.write_bytes(b"\xff" + csv_path.read_bytes())
     elif case == "not_an_object":
         meta_path.write_text(json.dumps([meta]))
+    elif case == "panel_id_differs":
+        meta_path.write_text(json.dumps({**meta, "panel_id": "OTHER"}))
     else:
         del meta[case]
         meta_path.write_text(json.dumps(meta))
@@ -168,7 +170,7 @@ def test_load_source_of_a_malformed_saved_panel_is_a_runtime_error(server, tmp_p
     assert error["code"] == RUNTIME_ERROR
     expected = "S.csv: cannot read" if case == "csv_not_utf8" else "S.meta.json: bad metadata"
     assert expected in error["message"]
-    assert "S" not in fresh.registry
+    assert fresh.registry.ids() == []
 
 
 def test_a_given_empty_registry_is_the_session_registry(source_panels):

@@ -11,7 +11,7 @@ from factorlab import transforms as tr
 from factorlab.errors import AlignmentError, DataError
 from factorlab.panel import Panel
 
-from .conftest import make_panel
+from .conftest import make_panel, month_rows
 from .oracles import pct_interpolate
 
 
@@ -421,8 +421,8 @@ class TestAnnualToMonthly:
 
 def _rows_by_month(dates, lo, hi):
     """Rows of months lo..hi-1, looked up one calendar month at a time."""
-    rows = [dates.position(m) for m in range(lo, hi)]
-    return [pos for pos in rows if pos is not None]
+    rows = month_rows(dates)
+    return [rows[m] for m in range(lo, hi) if m in rows]
 
 
 def _ref_rolling_stat(a, window, stat, min_obs):
