@@ -327,8 +327,11 @@ def cmd_plot(args) -> int:
         if pid not in registry:
             _fail(EXIT_VALIDATION, f"panel {pid!r} not found in {args.data_dir}")
     try:
-        y, x = evalharness.align(registry.get(args.panel_id),
-                                 registry.get(args.benchmark_id))
+        panel, benchmark = registry.get(args.panel_id), registry.get(args.benchmark_id)
+    except EngineError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+    try:
+        y, x = evalharness.align(panel, benchmark)
     except EngineError as exc:
         _fail(EXIT_RUNTIME, str(exc))
     svg = plotting.scatter_svg(

@@ -11,10 +11,10 @@ one-column panel whose single asset is named "value". Operators that produce
 one derive it like any other panel, so a series carries provenance from the
 start, and consumers read its column with ``values[:, 0]``.
 
-``reframe`` is the one frame mapper: every operator that needs a grid or a
-series on another date x asset frame goes through it. ``read_table`` is the
-one keyed-CSV reader: the monthly and annual ingest files and saved panels
-all parse through it.
+``reframe`` is the one frame mapper for a grid or series on another frame.
+``read_table`` is the one keyed-CSV reader, for the ingest files and saved
+panels. ``load_registry`` reads only the metadata of saved panels; a panel's
+value CSV is parsed on its first ``PanelRegistry.get``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,7 +61,9 @@ class DateIndex:
 
     def __init__(self, periods: Sequence[str]):
         periods = tuple(periods)
-        ordinals = np.array([month_ordinal(p) for p in periods], dtype=np.int64)
+        self._fill(periods, np.array([month_ordinal(p) for p in periods], dtype=np.int64))
+
+    def _fill(self, periods: tuple[str, ...], ordinals: np.ndarray) -> None:
         if len(ordinals) > 1 and not np.all(np.diff(ordinals) > 0):
             raise DataError("date index must be strictly increasing with no duplicates")
         self.periods = periods
@@ -70,7 +72,15 @@ class DateIndex:
 
     @classmethod
     def from_ordinals(cls, ordinals: Iterable[int]) -> "DateIndex":
-        return cls([ordinal_to_period(o) for o in ordinals])
+        """The index of these month ordinals, formatted once and never re-parsed."""
+        ordinals = np.array(ordinals, dtype=np.int64)
+        bad = np.flatnonzero((ordinals < 0) | (ordinals >= 12 * 10000))  # 0000-01 .. 9999-12
+        if bad.size:
+            raise DataError(f"bad period {ordinal_to_period(ordinals[bad[0]])!r}, expected YYYY-MM")
+        years, months = (part.tolist() for part in np.divmod(ordinals, 12))
+        index = cls.__new__(cls)
+        index._fill(tuple(f"{y:04d}-{m + 1:02d}" for y, m in zip(years, months)), ordinals)
+        return index
 
     @classmethod
     def range(cls, start: str, n_months: int) -> "DateIndex":
@@ -305,16 +315,22 @@ class Panel:
         return self if name is None or name == self.panel_id else replace(self, panel_id=name)
 
 
+class _Saved(NamedTuple):  # a saved panel in a registry, its values not read yet
+    directory: Path
+    provenance: ProvenanceRecord
+
+
 class PanelRegistry:
     """Session-scoped id -> Panel map. Registration is the single write path.
 
     Ids are never reused; provenance inputs must already be registered, which
-    makes the provenance graph acyclic by construction. Registration is
-    serialized with a lock; reads are safe to share.
+    makes the provenance graph acyclic by construction. Saved panels restored
+    by ``load_registry`` read their values on the first ``get``. Registration
+    and that read are serialized with a lock, so reads are safe to share.
     """
 
     def __init__(self):
-        self._panels: dict[str, Panel] = {}
+        self._panels: dict[str, Panel | _Saved] = {}
         self._counter = 1
         self._lock = threading.Lock()
 
@@ -328,6 +344,17 @@ class PanelRegistry:
         return list(self._panels)
 
     def get(self, panel_id: str) -> Panel:
+        with self._lock:
+            entry = self._entry(panel_id)
+            if isinstance(entry, _Saved):
+                entry = self._panels[panel_id] = load(entry.directory, panel_id)
+            return entry
+
+    def provenance(self, panel_id: str) -> ProvenanceRecord:
+        """The panel's provenance record, without reading saved values."""
+        return self._entry(panel_id).provenance
+
+    def _entry(self, panel_id: str) -> Panel | _Saved:
         try:
             return self._panels[panel_id]
         except KeyError:
@@ -342,9 +369,7 @@ class PanelRegistry:
         with self._lock:
             for input_id in panel.provenance.input_ids:
                 if input_id not in self._panels:
-                    raise RegistryError(
-                        f"provenance input {input_id!r} is not registered"
-                    )
+                    raise RegistryError(f"provenance input {input_id!r} is not registered")
             panel_id = panel.panel_id
             if panel_id:
                 if panel_id in self._panels:
@@ -355,23 +380,19 @@ class PanelRegistry:
                 panel_id = f"_{self._counter}"
             if not _ID_RE.match(panel_id):
                 raise RegistryError(f"invalid panel id {panel_id!r}")
-            seq = self._counter
+            self._panels[panel_id] = replace(
+                panel, panel_id=panel_id,
+                provenance=replace(panel.provenance, created_seq=self._counter))
             self._counter += 1
-            registered = replace(
-                panel,
-                panel_id=panel_id,
-                provenance=replace(panel.provenance, created_seq=seq),
-            )
-            self._panels[panel_id] = registered
             return panel_id
 
-    def _restore(self, panel: Panel) -> None:
-        """Re-insert a persisted panel keeping its original sequence number."""
+    def _restore(self, panel_id: str, saved: _Saved) -> None:
+        """Insert a saved panel unread, keeping its original sequence number."""
         with self._lock:
-            if panel.panel_id in self._panels:
-                raise RegistryError(f"duplicate panel id {panel.panel_id!r}")
-            self._panels[panel.panel_id] = panel
-            self._counter = max(self._counter, panel.provenance.created_seq + 1)
+            if panel_id in self._panels:
+                raise RegistryError(f"duplicate panel id {panel_id!r}")
+            self._panels[panel_id] = saved
+            self._counter = max(self._counter, saved.provenance.created_seq + 1)
 
 
 # -- persistence -----------------------------------------------------------
@@ -510,17 +531,13 @@ def save(panel: Panel, directory) -> list[Path]:
     return [csv_path, meta_path]
 
 
-def load(directory, panel_id: str) -> Panel:
-    """Rebuild a saved panel bit-exactly (values, missing mask, frame, provenance)."""
+def _read_meta(directory: Path, panel_id: str) -> tuple[DateIndex, tuple, ProvenanceRecord]:
+    """The checked frame and provenance in a saved panel's ``<id>.meta.json``."""
     if not _ID_RE.match(panel_id):
         raise DataError(f"invalid panel id {panel_id!r}")
-    directory = Path(directory)
-    csv_path = directory / f"{panel_id}.csv"
     meta_path = directory / f"{panel_id}.meta.json"
-    for path in (csv_path, meta_path):
-        if not path.exists():
-            raise DataError(f"missing file {path}")
-
+    if not meta_path.exists():
+        raise DataError(f"missing file {meta_path}")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -529,10 +546,16 @@ def load(directory, panel_id: str) -> Panel:
         dates, assets = DateIndex(meta["dates"]), tuple(meta["assets"])
         if meta["panel_id"] != panel_id:
             raise ValueError(f"panel_id {meta['panel_id']!r} is not the file's {panel_id!r}")
-        provenance = ProvenanceRecord.from_dict(meta["provenance"])
+        return dates, assets, ProvenanceRecord.from_dict(meta["provenance"])
     except (TypeError, ValueError, KeyError, AttributeError) as exc:
         raise DataError(f"{meta_path}: bad metadata: {type(exc).__name__}: {exc}") from exc
 
+
+def load(directory, panel_id: str) -> Panel:
+    """Rebuild a saved panel bit-exactly (values, missing mask, frame, provenance)."""
+    directory = Path(directory)
+    dates, assets, provenance = _read_meta(directory, panel_id)
+    csv_path = directory / f"{panel_id}.csv"
     table = read_table(csv_path, ("date", "asset"), ("value",))
     outside = table.outside(dates, assets)
     if outside.any():
@@ -542,16 +565,13 @@ def load(directory, panel_id: str) -> Panel:
 
 
 def load_registry(directory) -> PanelRegistry:
-    """Restore a registry from every saved panel in a directory."""
+    """Restore a registry from a directory's ``.meta.json`` files; values load on first ``get``."""
     directory = Path(directory)
-    panels = []
-    for meta_path in sorted(directory.glob("*.meta.json")):
-        panel_id = meta_path.name[: -len(".meta.json")]
-        panels.append(load(directory, panel_id))
-    panels.sort(key=lambda p: p.provenance.created_seq)
+    ids = [path.name[: -len(".meta.json")] for path in sorted(directory.glob("*.meta.json"))]
+    saved = {i: _Saved(directory, _read_meta(directory, i)[2]) for i in ids}
     registry = PanelRegistry()
-    for panel in panels:
-        registry._restore(panel)
+    for panel_id in sorted(saved, key=lambda i: saved[i].provenance.created_seq):
+        registry._restore(panel_id, saved[panel_id])
     return registry
 
 
@@ -561,34 +581,28 @@ def load_registry(directory) -> PanelRegistry:
 def export_graph(registry: PanelRegistry, root_id: str) -> tuple[dict, str]:
     """Transitive-input subgraph of ``root_id`` as (JSON document, DOT text).
 
-    Nodes come out in topological order (inputs before outputs), which a
-    walk ordered by registration sequence guarantees.
+    Only provenance records are walked, so no saved value file is read. Nodes
+    come out in topological order (inputs before outputs), which a walk
+    ordered by registration sequence guarantees.
     """
-    root = registry.get(root_id)
-
     reached = {}
-    stack = [root]
+    stack = [root_id]
     while stack:
-        panel = stack.pop()
-        if panel.panel_id in reached:
+        panel_id = stack.pop()
+        if panel_id in reached:
             continue
-        reached[panel.panel_id] = panel
-        for input_id in panel.provenance.input_ids:
-            stack.append(registry.get(input_id))
+        reached[panel_id] = registry.provenance(panel_id)
+        stack.extend(reached[panel_id].input_ids)
 
-    ordered = sorted(reached.values(), key=lambda p: p.provenance.created_seq)
+    ordered = sorted(reached.items(), key=lambda item: item[1].created_seq)
     nodes = [
-        {
-            "id": p.panel_id,
-            "op_name": p.provenance.op_name,
-            "params": dict(p.provenance.params),
-        }
-        for p in ordered
+        {"id": panel_id, "op_name": record.op_name, "params": dict(record.params)}
+        for panel_id, record in ordered
     ]
     edges = [
-        {"from": input_id, "to": p.panel_id}
-        for p in ordered
-        for input_id in p.provenance.input_ids
+        {"from": input_id, "to": panel_id}
+        for panel_id, record in ordered
+        for input_id in record.input_ids
     ]
     doc = {"root": root_id, "nodes": nodes, "edges": edges}
 

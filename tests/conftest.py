@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from factorlab import panel as panelio
 from factorlab.ingest import ingest_dataset
 from factorlab.panel import DateIndex, Panel
 from factorlab.synthetic import GeneratorConfig, generate_synthetic
@@ -32,6 +36,20 @@ def month_rows(dates: DateIndex) -> dict[int, int]:
     """Row of each month ordinal in ``dates``: the per-month lookup the
     vectorized row maps are checked against."""
     return {int(o): i for i, o in enumerate(dates.ordinals)}
+
+
+def count_reads(monkeypatch, delay: float = 0.0) -> list[str]:
+    """Record the file name of every CSV that ``panel.read_table`` parses from
+    now on, each read held ``delay`` seconds first so that threads overlap."""
+    reads, real = [], panelio.read_table
+
+    def counted(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        time.sleep(delay)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(panelio, "read_table", counted)
+    return reads
 
 
 @pytest.fixture(scope="session")

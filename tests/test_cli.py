@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from factorlab import cli
 
+from .conftest import count_reads
+
 RUN_LOG_KEYS = {"recipe", "params", "sources", "outputs", "steps", "flags", "ingest_removed"}
 GOLDEN = Path(__file__).parent / "golden"
 STEP_KEYS = {"step", "op", "output", "panel_id", "n_dates", "n_assets", "n_nonmissing",
              "n_months_nonnull", "seconds"}
+GOLDEN_REPORT = ["report", "--spread", "HML_spread", "--characteristic", "BM",
+                 "--model", "CAPM=MKT", "--stratify-recipe", "hml", "--weights", "W_SV"]
+# the report the benchmark runs, without --weights, and the panels it reads
+BENCH_REPORT = GOLDEN_REPORT[:-2]
+BENCH_REPORT_READS = [f"{panel_id}.csv" for panel_id in (
+    "BM", "CAP", "CAPCO", "HML_spread", "MKT", "NYSE", "PSTK", "PSTKL", "PSTKRV", "RET", "SEQ")]
 
 
 def factorlab(directory, *argv) -> int:
@@ -66,9 +75,8 @@ def test_report_graph_and_plot(workdir):
 
 def test_report_matches_the_golden_files(workdir, tmp_path):
     directory, _ = workdir
-    assert cli.main(["--data-dir", str(directory), "--out-dir", str(tmp_path), "report",
-                     "--spread", "HML_spread", "--characteristic", "BM", "--model", "CAPM=MKT",
-                     "--stratify-recipe", "hml", "--weights", "W_SV"]) == 0
+    assert cli.main(["--data-dir", str(directory), "--out-dir", str(tmp_path),
+                     *GOLDEN_REPORT]) == 0
     for suffix in (".md", ".json"):
         name = f"report_HML_spread{suffix}"
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
@@ -172,3 +180,64 @@ def test_simk_bad_manifest_is_a_validation_error(tmp_path, manifest):
     elif isinstance(manifest, dict):
         path.write_text(json.dumps(manifest))
     assert exit_code(tmp_path, "simk", str(path)) == cli.EXIT_VALIDATION
+
+
+def saved_copy(directory: Path, target: Path) -> Path:
+    """A copy of the saved panels (and inputs) of ``directory`` in ``target``."""
+    target.mkdir()
+    for path in directory.iterdir():
+        if path.is_file():
+            shutil.copyfile(path, target / path.name)
+    return target
+
+
+@pytest.mark.parametrize("fmt, name", [("dot", "HML_spread.dot"),
+                                       ("json", "HML_spread.graph.json")])
+def test_graph_reads_no_value_file(workdir, tmp_path, monkeypatch, fmt, name):
+    directory, _ = workdir
+    saved = saved_copy(directory, tmp_path / "saved")
+    reads = count_reads(monkeypatch)
+    for trial in ("all", "only_the_root"):
+        out = tmp_path / trial
+        assert cli.main(["--data-dir", str(saved), "--out-dir", str(out),
+                         "graph", "HML_spread", "--format", fmt]) == 0
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), trial
+        for path in saved.glob("*.csv"):
+            if path.name != "HML_spread.csv":
+                path.unlink()
+    assert reads == []
+
+
+def test_report_reads_only_the_panels_it_touches(workdir, tmp_path, monkeypatch):
+    directory, _ = workdir
+    reads = count_reads(monkeypatch)
+    assert cli.main(["--data-dir", str(directory), "--out-dir", str(tmp_path),
+                     *BENCH_REPORT]) == 0
+    assert sorted(reads) == BENCH_REPORT_READS
+
+
+def test_a_corrupt_panel_the_report_does_not_read_is_not_parsed(workdir, tmp_path):
+    directory, _ = workdir
+    saved = saved_copy(directory, tmp_path / "saved")
+    (saved / "W_BV.csv").write_text("date,asset,value\n1990-01,A0001,oops\n")
+    out = tmp_path / "out"
+    assert cli.main(["--data-dir", str(saved), "--out-dir", str(out), *GOLDEN_REPORT]) == 0
+    for suffix in (".md", ".json"):
+        name = f"report_HML_spread{suffix}"
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [GOLDEN_REPORT, ["plot", "HML_spread", "MKT"],
+                                  ["plot", "MKT", "HML_spread"]],
+                         ids=["report", "plot", "plot_benchmark"])
+def test_a_corrupt_panel_the_command_reads_is_a_validation_error(workdir, tmp_path, capsys,
+                                                                  argv):
+    directory, _ = workdir
+    saved = saved_copy(directory, tmp_path / "saved")
+    (saved / "HML_spread.csv").write_text("date,asset,value\n1990-01,value,oops\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(saved), "--out-dir", str(out), *argv])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert f"{saved / 'HML_spread.csv'} line 2: bad number 'oops'" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlab import panel as panelio
+from factorlab import transforms
 from factorlab.errors import DataError, RegistryError
 from factorlab.panel import (
     DateIndex,
@@ -21,7 +23,7 @@ from factorlab.panel import (
     topological_order,
 )
 
-from .conftest import make_panel, month_rows
+from .conftest import count_reads, make_panel, month_rows
 
 
 class TestDateIndex:
@@ -73,6 +75,42 @@ class TestDateIndex:
         assert idx.rows_between(2 ** 70, 2 ** 71) == slice(2, 2)
         assert idx.rows_between(-2 ** 71, -2 ** 70) == slice(0, 0)
         assert DateIndex([]).rows_between(0, 2 ** 70) == slice(0, 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_from_ordinals_equals_the_parsed_periods(self, seed):
+        rng = np.random.default_rng(seed)
+        inner = rng.choice(np.arange(1, 12 * 10000 - 1), size=int(rng.integers(0, 300)),
+                           replace=False)
+        ordinals = np.sort(np.concatenate([[0], inner, [12 * 10000 - 1]])).astype(np.int64)
+        built = DateIndex.from_ordinals(ordinals.tolist())
+        parsed = DateIndex([ordinal_to_period(o) for o in ordinals])
+        assert built == parsed
+        assert built.periods[0] == "0000-01" and built.periods[-1] == "9999-12"
+        assert built.ordinals.tolist() == parsed.ordinals.tolist()
+        assert built.ordinals.dtype == np.int64 and not built.ordinals.flags.writeable
+        assert DateIndex.from_ordinals(ordinals) == parsed  # an array works as well
+        assert ordinals.flags.writeable  # and is not frozen
+
+    @pytest.mark.parametrize("ordinals, message", [
+        ([5, -1], "bad period '-001-12', expected YYYY-MM"),
+        ([-13], "bad period '-002-12', expected YYYY-MM"),
+        ([12 * 10000 - 1, 12 * 10000], "bad period '10000-01', expected YYYY-MM"),
+    ])
+    def test_from_ordinals_off_the_calendar(self, ordinals, message):
+        with pytest.raises(DataError) as exc:
+            DateIndex.from_ordinals(ordinals)
+        assert str(exc.value) == message
+
+    def test_from_ordinals_must_increase(self):
+        for ordinals in ([3, 2], [4, 4]):
+            with pytest.raises(DataError, match="strictly increasing"):
+                DateIndex.from_ordinals(ordinals)
+
+    def test_lag_past_the_calendar_keeps_its_message(self):
+        last = make_panel("P", ["9999-11", "9999-12"], ["a"], [[1.0], [2.0]])
+        with pytest.raises(DataError) as exc:
+            transforms.lag(last, 1)
+        assert str(exc.value) == "bad period '10000-01', expected YYYY-MM"
 
 
 class TestReframe:
@@ -308,6 +346,111 @@ class TestSaveLoad:
         assert restored.get("B").provenance.created_seq == 2
 
 
+@pytest.fixture
+def saved_chain(tmp_path):
+    """Z (source) -> A -> M, plus a second source C, saved in that order.
+
+    File-name order (A, C, M, Z) differs from registration order (Z, A, M, C),
+    and the grids hold gaps, missing cells, a signed zero and a subnormal.
+    """
+    reg = PanelRegistry()
+    z = make_panel("Z", ["1990-01", "1990-02", "1990-05"], ["x", "y"],
+                   [[1.5, None], [-0.0, 5e-324], [None, None]])
+    reg.register(z)
+    a = Panel.derive("unary_op", {"op": "neg"}, [z], z.dates, z.assets, -z.values)
+    reg.register(a, name="A")
+    m = Panel.derive("binary_op", {"op": "add"}, [reg.get("A"), z], z.dates, z.assets,
+                     z.values + z.values)
+    reg.register(m, name="M")
+    reg.register(make_panel("C", ["1991-01"], ["q"], [[7.0]]))
+    for panel_id in reg.ids():
+        panelio.save(reg.get(panel_id), tmp_path)
+    return tmp_path, reg
+
+
+class TestLazyRegistry:
+    def test_load_registry_reads_no_value_file(self, saved_chain, monkeypatch):
+        directory, _ = saved_chain
+        reads = count_reads(monkeypatch)
+        restored = panelio.load_registry(directory)
+        assert len(restored) == 4 and "M" in restored and "Q" not in restored
+        assert restored.provenance("M").input_ids == ("A", "Z")
+        assert reads == []
+
+    def test_ids_len_and_order_are_those_of_registration(self, saved_chain, monkeypatch):
+        directory, reg = saved_chain
+        reads = count_reads(monkeypatch)
+        restored = panelio.load_registry(directory)
+        assert restored.ids() == reg.ids() == ["Z", "A", "M", "C"]
+        assert len(restored) == len(reg)
+        assert all(i in restored for i in reg.ids())
+        assert [restored.provenance(i) for i in reg.ids()] == [
+            reg.get(i).provenance for i in reg.ids()]
+        assert reads == []
+
+    def test_the_counter_continues_after_the_restored_sequence(self, saved_chain):
+        directory, _ = saved_chain
+        restored = panelio.load_registry(directory)
+        fresh = make_panel("", ["1990-01"], ["x"], [[1.0]])
+        assert restored.register(fresh) == "_5"
+        assert restored.get("_5").provenance.created_seq == 5
+
+    def test_get_is_the_eager_load_and_is_cached(self, saved_chain, monkeypatch):
+        directory, reg = saved_chain
+        eager = {panel_id: panelio.load(directory, panel_id) for panel_id in reg.ids()}
+        restored = panelio.load_registry(directory)
+        reads = count_reads(monkeypatch)
+        for panel_id, loaded in eager.items():
+            lazy = restored.get(panel_id)
+            assert lazy.panel_id == panel_id
+            assert lazy.dates == loaded.dates and lazy.assets == loaded.assets
+            assert lazy.provenance == loaded.provenance == reg.get(panel_id).provenance
+            assert np.array_equal(lazy.values.view(np.int64), loaded.values.view(np.int64))
+            assert restored.get(panel_id) is lazy
+        assert reads == [f"{panel_id}.csv" for panel_id in reg.ids()]
+
+    def test_two_first_gets_parse_once(self, saved_chain, monkeypatch):
+        directory, _ = saved_chain
+        restored = panelio.load_registry(directory)
+        reads = count_reads(monkeypatch, delay=0.2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(restored.get, ["M", "M"], timeout=30)
+        assert first is second
+        assert reads == ["M.csv"]
+
+    def test_a_corrupt_value_file_fails_its_own_get_only(self, saved_chain):
+        directory, _ = saved_chain
+        (directory / "A.csv").write_text("date,asset,value\n1990-01,x,oops\n")
+        restored = panelio.load_registry(directory)
+        assert restored.get("Z").n_nonmissing() == 3
+        for _ in range(2):  # a failed read leaves the panel unread, to fail again
+            with pytest.raises(DataError, match=r"A\.csv line 2: bad number 'oops'"):
+                restored.get("A")
+        assert restored.provenance("A").op_name == "unary_op"
+        (directory / "M.csv").unlink()
+        with pytest.raises(DataError, match=r"M\.csv: cannot read"):
+            restored.get("M")
+
+    @pytest.mark.parametrize("meta", [[], {**META, "panel_id": "Q"}, {**META, "dates": 5}])
+    def test_malformed_metadata_fails_at_once(self, saved_chain, meta):
+        directory, _ = saved_chain
+        (directory / "C.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=r"C\.meta\.json: bad metadata"):
+            panelio.load_registry(directory)
+
+    def test_a_meta_file_whose_name_is_not_a_panel_id_fails_at_once(self, saved_chain):
+        directory, _ = saved_chain
+        (directory / ".hidden.meta.json").write_text("{}")
+        with pytest.raises(DataError, match="invalid panel id '.hidden'"):
+            panelio.load_registry(directory)
+
+    def test_unknown_id(self, saved_chain):
+        restored = panelio.load_registry(saved_chain[0])
+        for lookup in (restored.get, restored.provenance):
+            with pytest.raises(RegistryError, match="unknown panel id 'Q'"):
+                lookup("Q")
+
+
 class TestExportGraph:
     def test_source_only(self):
         reg = PanelRegistry()
@@ -336,6 +479,16 @@ class TestExportGraph:
         reg = PanelRegistry()
         with pytest.raises(RegistryError):
             export_graph(reg, "missing")
+
+    def test_a_restored_registry_gives_the_same_graph_unread(self, saved_chain, monkeypatch):
+        directory, reg = saved_chain
+        reads = count_reads(monkeypatch)
+        restored = panelio.load_registry(directory)
+        for root in ("M", "A", "C"):
+            assert export_graph(restored, root) == export_graph(reg, root)
+        doc, _ = export_graph(restored, "M")
+        assert [n["id"] for n in doc["nodes"]] == ["Z", "A", "M"]
+        assert reads == []
 
 
 def reference_save_text(panel: Panel) -> str:
