@@ -288,7 +288,10 @@ def cmd_graph(args) -> int:
     registry = _load_data_registry(args)
     if args.panel_id not in registry:
         _fail(EXIT_VALIDATION, f"panel {args.panel_id!r} not found in {args.data_dir}")
-    doc, dot = panelio.export_graph(registry, args.panel_id)
+    try:
+        doc, dot = panelio.export_graph(registry, args.panel_id)
+    except EngineError as exc:  # an input named by a provenance record is not saved
+        _fail(EXIT_VALIDATION, str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "dot":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .panel import DateIndex, Panel, read_table, reframe
-from .transforms import align_panels, annual_to_monthly
+from .transforms import align_panels, annual_to_monthly, window_steps
 
 MONTHLY_HEADER = ["date", "asset_id", "ret", "cap", "capco", "exchange_nyse"]
 ANNUAL_KEY_COLUMNS = ["fiscal_end", "asset_id"]
@@ -121,20 +121,16 @@ def book_to_market(be: Panel, capco: Panel) -> Panel:
     the following June. Non-positive company market equity is screened out.
     """
     dates, assets, (gbe, gcapco) = align_panels(be, capco)
+    # the latest fiscal-year-end value in the 12 months ending each December
+    decembers = np.flatnonzero(dates.ordinals % 12 == 11)
+    lo, hi = dates.window_rows(-11, 1)
+    latest = np.full((len(decembers), len(assets)), np.nan)
+    for rows in window_steps(gbe, lo[decembers], hi[decembers]):
+        np.copyto(latest, rows, where=~np.isnan(rows))
+    capco_rows = gcapco[decembers]
     december = np.full_like(gbe, np.nan)
-    for i, o in enumerate(dates.ordinals):
-        if int(o) % 12 != 11:
-            continue
-        capco_row = gcapco[i]
-        # latest fiscal-year-end value in the 12 months ending this December
-        latest = np.full(len(assets), np.nan)
-        for row in gbe[dates.rows_between(int(o) - 11, int(o) + 1)]:
-            fresh = ~np.isnan(row)
-            latest[fresh] = row[fresh]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = latest / capco_row
-            ratio[np.isnan(capco_row) | (capco_row <= 0)] = np.nan
-        december[i] = ratio
+    with np.errstate(invalid="ignore", divide="ignore"):
+        december[decembers] = np.where(capco_rows > 0, latest / capco_rows, np.nan)
 
     placed = Panel.derive("book_to_market_december", {}, [be, capco],
                           dates, assets, december)

@@ -55,7 +55,8 @@ def ordinal_to_period(ordinal: int) -> str:
 
 
 class DateIndex:
-    """Strictly increasing monthly periods, gaps allowed. ``next_month_rows`` is the t+1 lookup."""
+    """Strictly increasing monthly periods, gaps allowed. ``next_month_rows`` is the
+    t+1 lookup and ``window_rows`` the calendar-window one."""
 
     __slots__ = ("periods", "ordinals")
 
@@ -110,18 +111,17 @@ class DateIndex:
         found = self.ordinals[np.minimum(nxt, len(self) - 1)] == self.ordinals + 1
         return np.where(found, nxt, -1)
 
-    def rows_between(self, lo: int, hi: int) -> slice:
-        """Rows of the months with ordinal in ``[lo, hi)``, in date order.
+    def window_rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row range ``lo[i]:hi[i]`` of the months in ``[o + start, o + stop)``
+        for each row ``i`` of month ``o``, in date order.
 
-        The bounds are clamped to the index span first, so any Python int is
+        The offsets are clamped to the index span first, so any Python int is
         accepted; the cost does not depend on the width of the range.
         """
-        if not len(self.periods):
-            return slice(0, 0)
-        first, end = int(self.ordinals[0]), int(self.ordinals[-1]) + 1
-        lo, hi = (min(max(int(b), first), end) for b in (lo, hi))
-        start, stop = np.searchsorted(self.ordinals, [lo, hi]).tolist()
-        return slice(start, stop)
+        span = int(self.ordinals[-1] - self.ordinals[0]) + 1 if len(self.periods) else 0
+        start, stop = (min(max(int(b), -span), span) for b in (start, stop))
+        return (np.searchsorted(self.ordinals, self.ordinals + start),
+                np.searchsorted(self.ordinals, self.ordinals + stop))
 
     def union(self, other: "DateIndex") -> "DateIndex":
         if self == other:

@@ -332,15 +332,12 @@ def rolling_compound_return(r: Panel, window: int, skip: int = 0,
     if not 1 <= min_obs <= span:
         raise DataError("need 1 <= min_obs <= window - skip")
 
-    out = np.full_like(r.values, np.nan)
-    for i, o in enumerate(r.dates.ordinals.tolist()):
-        block = r.values[r.dates.rows_between(o - window, o - skip)]
-        if not len(block):
-            continue
-        count = np.count_nonzero(~np.isnan(block), axis=0)
-        growth = np.prod(np.where(np.isnan(block), 1.0, 1.0 + block), axis=0) - 1.0
-        ok = count >= min_obs
-        out[i, ok] = growth[ok]
+    lo, hi = r.dates.window_rows(-window, -skip)
+    growth = np.ones_like(r.values)
+    factors = np.where(np.isnan(r.values), 1.0, 1.0 + r.values)  # missing: times 1.0
+    for rows in window_steps(factors, lo, hi, pad=1.0):
+        growth *= rows
+    out = np.where(window_counts(r.values, lo, hi) >= min_obs, growth - 1.0, np.nan)
     params = {"window": window, "skip": skip, "min_obs": min_obs}
     return Panel.derive("rolling_compound_return", params, [r], r.dates, r.assets, out)
 
@@ -353,44 +350,94 @@ def rolling_stat(a: Panel, window: int, stat: str, min_obs: int = 1) -> Panel:
     if not 1 <= min_obs <= window:
         raise DataError("need 1 <= min_obs <= window")
 
-    out = np.full_like(a.values, np.nan)
-    for i, o in enumerate(a.dates.ordinals.tolist()):
-        block = a.values[a.dates.rows_between(o - window + 1, o + 1)]
-        if not len(block):
-            continue
-        count = np.count_nonzero(~np.isnan(block), axis=0)
-        with np.errstate(invalid="ignore"):
-            if stat == "mean":
-                vals = _nan_reduce(block, np.nanmean, count)
-            elif stat == "sum":
-                vals = _nan_reduce(block, np.nansum, count)
-            elif stat == "min":
-                vals = _nan_reduce(block, np.nanmin, count)
-            elif stat == "max":
-                vals = _nan_reduce(block, np.nanmax, count)
-            else:
-                vals = _nan_std(block, count)
-        ok = count >= min_obs
-        out[i, ok] = vals[ok]
+    lo, hi = a.dates.window_rows(1 - window, 1)
+    count = window_counts(a.values, lo, hi)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if stat in ("min", "max"):
+            fold = np.fmin if stat == "min" else np.fmax
+            vals = np.full_like(a.values, np.nan)
+            for rows in window_steps(a.values, lo, hi):
+                vals = fold(vals, rows)
+        else:
+            vals = window_sums(a.values, lo, hi)
+            if stat != "sum":
+                vals = vals / count
+            if stat == "std":  # nanstd's second pass, over the squared deviations
+                vals = np.sqrt(window_sums(a.values, lo, hi, center=vals) / (count - 1))
+    out = np.where(count >= max(min_obs, 2 if stat == "std" else 1), vals, np.nan)
     params = {"window": window, "stat": stat, "min_obs": min_obs}
     return Panel.derive("rolling_stat", params, [a], a.dates, a.assets, out)
 
 
-def _nan_reduce(block, fn, count):
-    vals = np.full(block.shape[1], np.nan)
-    has = count > 0
-    if np.any(has):
-        vals[has] = fn(block[:, has], axis=0)
-    return vals
+# -- month-window kernels ------------------------------------------------------
+#
+# Each takes the row windows lo[i]:hi[i] of DateIndex.window_rows and works on
+# all dates and assets at once: it loops over the position inside the window,
+# at most max(hi - lo) <= len(grid) times, never over dates.
 
 
-def _nan_std(block, count):
-    """Sample (n-1) standard deviation per column; <2 observations -> NaN."""
-    vals = np.full(block.shape[1], np.nan)
-    has = count >= 2
-    if np.any(has):
-        vals[has] = np.nanstd(block[:, has], axis=0, ddof=1)
-    return vals
+def _padded(grid: np.ndarray, pad: float = np.nan) -> np.ndarray:
+    """The grid with one ``pad`` row appended, gathered wherever a window has ended."""
+    return np.vstack([grid, np.full((1, grid.shape[1]), pad)])
+
+
+def window_counts(grid: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Non-missing cells per column in grid rows lo[i]:hi[i], for each i."""
+    seen = np.zeros((len(grid) + 1, grid.shape[1]), dtype=np.int64)
+    np.cumsum(~np.isnan(grid), axis=0, out=seen[1:])
+    return seen[hi] - seen[lo]
+
+
+def window_steps(grid: np.ndarray, lo: np.ndarray, hi: np.ndarray, pad: float = np.nan):
+    """Yield grid row ``lo[i] + k`` for every i, k = 0, 1, ..., in window order,
+    and a ``pad`` row once window i is used up: an ordered fold, one numpy
+    operation per position, as numpy reduces a C-ordered block down axis 0."""
+    padded = _padded(grid, pad)
+    for k in range(int(np.max(hi - lo, initial=0))):
+        yield padded[np.where(lo + k < hi, lo + k, len(grid))]
+
+
+def window_sums(grid: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                center: np.ndarray | None = None) -> np.ndarray:
+    """Per column, the sum over grid rows lo[i]:hi[i] of each cell, or of its
+    squared deviation from ``center[i]``; a missing cell adds +0.0.
+
+    The terms are added in the order of numpy's pairwise summation along a
+    contiguous axis, which is how ``np.nansum``, ``np.nanmean`` and
+    ``np.nanstd`` reduce an F-ordered window: eight interleaved partial sums
+    over the first multiple of 8 terms, combined as a tree, then the rest in
+    order; a window of more than 128 terms is split at a multiple of 8 near
+    its middle and the halves summed alike. So the sums are bit-identical to
+    theirs. (A zero sum is +0.0 in both.)
+    """
+    padded = _padded(grid)
+
+    def term(i, src):
+        x = padded[src]
+        d = np.where(np.isnan(x), 0.0, x if center is None else x - center[i])
+        return d if center is None else d * d
+
+    def pairwise(i, lo, n):
+        def at(pos, stop):  # the term at window position pos, or +0.0 from stop on
+            return term(i, np.where(pos < stop, lo + pos, len(grid)))
+
+        big = n > 128  # numpy's PW_BLOCKSIZE
+        leaf = np.where(big, 0, n)
+        blocked = np.where(leaf >= 8, leaf - leaf % 8, 0)
+        part = [at(p, blocked) for p in range(8)]
+        for p in range(8, int(np.max(blocked, initial=0))):
+            part[p % 8] += at(p, blocked)
+        total = (((part[0] + part[1]) + (part[2] + part[3]))
+                 + ((part[4] + part[5]) + (part[6] + part[7])))
+        for t in range(int(np.max(leaf - blocked, initial=0))):
+            total += at(blocked + t, leaf)
+        if np.any(big):
+            half = n[big] // 2 - n[big] // 2 % 8
+            total[big] = (pairwise(i[big], lo[big], half)
+                          + pairwise(i[big], lo[big] + half, n[big] - half))
+        return total
+
+    return pairwise(np.arange(len(lo)), lo, hi - lo)
 
 
 def ewma(a: Panel, alpha: float, min_periods: int = 1) -> Panel:
@@ -505,14 +552,11 @@ def annual_to_monthly(a: Panel, placement_month: int, offset: int,
         raise DataError("offset must be >= 0")
 
     out = np.full_like(a.values, np.nan)
-    for i, o in enumerate(a.dates.ordinals.tolist()):
-        if o % 12 != placement_month - 1:
-            continue
+    lo, hi = a.dates.window_rows(offset, offset + valid_months)
+    for i in np.flatnonzero(a.dates.ordinals % 12 == placement_month - 1):
         row = a.values[i]
         present = ~np.isnan(row)
-        if not np.any(present):
-            continue
-        out[a.dates.rows_between(o + offset, o + offset + valid_months), present] = row[present]
+        out[lo[i]:hi[i], present] = row[present]
     params = {
         "placement_month": placement_month,
         "offset": offset,

@@ -208,6 +208,19 @@ def test_graph_reads_no_value_file(workdir, tmp_path, monkeypatch, fmt, name):
     assert reads == []
 
 
+def test_graph_of_a_panel_whose_input_is_not_saved_is_a_validation_error(workdir, tmp_path,
+                                                                          capsys):
+    directory, _ = workdir
+    saved = saved_copy(directory, tmp_path / "saved")
+    (saved / "R_SV.meta.json").unlink()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(saved), "--out-dir", str(out), "graph", "HML_spread"])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: unknown panel id 'R_SV'\n"
+    assert not out.exists()
+
+
 def test_report_reads_only_the_panels_it_touches(workdir, tmp_path, monkeypatch):
     directory, _ = workdir
     reads = count_reads(monkeypatch)

@@ -17,6 +17,7 @@ from factorlab.ingest import (
     ingest_monthly,
 )
 from factorlab.panel import DateIndex, Panel, month_ordinal
+from factorlab.transforms import align_panels
 from factorlab.synthetic import GeneratorConfig, generate_synthetic
 
 from .conftest import make_panel, month_rows
@@ -390,6 +391,71 @@ class TestBookToMarket:
         vals = bm.values[~np.isnan(bm.values)]
         assert vals.size > 0
         assert np.all(vals > 0)
+
+
+def reference_book_to_market(be: Panel, capco: Panel) -> np.ndarray:
+    """The per-December loop that ``book_to_market`` replaced, over a per-month lookup."""
+    dates, assets, (gbe, gcapco) = align_panels(be, capco)
+    rows = month_rows(dates)
+    december = np.full_like(gbe, np.nan)
+    for i, o in enumerate(dates.ordinals.tolist()):
+        if o % 12 != 11:
+            continue
+        capco_row = gcapco[i]
+        latest = np.full(len(assets), np.nan)
+        for row in gbe[[rows[m] for m in range(o - 11, o + 1) if m in rows]]:
+            fresh = ~np.isnan(row)
+            latest[fresh] = row[fresh]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = latest / capco_row
+            ratio[np.isnan(capco_row) | (capco_row <= 0)] = np.nan
+        december[i] = ratio
+    out = np.full_like(december, np.nan)  # usable June through May
+    for i, o in enumerate(dates.ordinals.tolist()):
+        present = ~np.isnan(december[i])
+        for m in range(o + 6, o + 18):
+            if m in rows:
+                out[rows[m], present] = december[i][present]
+    return out
+
+
+def book_to_market_case(seed, n_dates, n_assets, months=range(12)):
+    """Seeded book equity and company market equity on a gapped index of the
+    given calendar months: book equity sparse (fiscal ends), one or two per
+    year and sometimes none in a year, so that some Decembers see a value
+    older than the 12-month lookback; capco with zeros, negatives and
+    missing cells."""
+    rng = np.random.default_rng(seed)
+    ordinals = [o for o in range(1960 * 12, 1960 * 12 + 4 * n_dates) if o % 12 in months]
+    ordinals = np.sort(rng.choice(ordinals, size=n_dates, replace=False))
+    shape = (n_dates, n_assets)
+    be = np.where(rng.random(shape) < 0.12, rng.lognormal(3.0, 1.0, shape), np.nan)
+    capco = rng.lognormal(5.0, 1.0, shape)
+    capco[rng.random(shape) < 0.05] = 0.0
+    capco[rng.random(shape) < 0.05] *= -1.0
+    capco[rng.random(shape) < 0.1] = np.nan
+    dates, assets = DateIndex.from_ordinals(ordinals), [f"a{j}" for j in range(n_assets)]
+    return Panel.source("BE", dates, assets, be), Panel.source("CAPCO", dates, assets, capco)
+
+
+@pytest.mark.parametrize("n_dates, n_assets", [(120, 50), (1200, 100), (72, 500)])
+@pytest.mark.parametrize("seed", (0, 1))
+def test_book_to_market_matches_the_loop(seed, n_dates, n_assets):
+    be, capco = book_to_market_case(seed, n_dates, n_assets)
+    expected = reference_book_to_market(be, capco)
+    got = book_to_market(be, capco).values
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+    decembers = be.dates.ordinals % 12 == 11
+    assert decembers.any() and not decembers.all()
+    assert np.isfinite(got).any()
+
+
+def test_book_to_market_without_a_december_is_all_missing():
+    be, capco = book_to_market_case(2, 60, 20, months=range(11))
+    got = book_to_market(be, capco).values
+    assert np.isnan(got).all()
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  reference_book_to_market(be, capco).view(np.int64))
 
 
 class TestGenerator:

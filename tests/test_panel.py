@@ -48,14 +48,17 @@ class TestDateIndex:
         with pytest.raises(DataError):
             DateIndex(["199001"])
 
-    def test_rows_between_matches_a_per_month_lookup(self):
-        idx = DateIndex(["1990-01", "1990-02", "1990-05", "1990-06", "1991-01"])
-        first, last = int(idx.ordinals[0]), int(idx.ordinals[-1])
-        rows = month_rows(idx)
-        for lo in range(first - 3, last + 4):
-            for hi in range(lo - 1, last + 5):
-                expected = [rows[m] for m in range(lo, hi) if m in rows]
-                assert list(range(len(idx)))[idx.rows_between(lo, hi)] == expected
+    def test_window_rows_matches_a_per_month_lookup(self):
+        for periods in (["1990-01", "1990-02", "1990-05", "1990-06", "1991-01"], ["1990-01"]):
+            idx = DateIndex(periods)
+            rows = month_rows(idx)
+            for start in range(-16, 17):
+                for stop in range(start, 18):
+                    lo, hi = idx.window_rows(start, stop)
+                    assert lo.dtype == hi.dtype == np.int64
+                    for i, o in enumerate(idx.ordinals.tolist()):
+                        expected = [rows[m] for m in range(o + start, o + stop) if m in rows]
+                        assert list(range(lo[i], hi[i])) == expected, (periods, start, stop, i)
 
     @pytest.mark.parametrize("periods", [
         ["1990-01", "1990-02", "1990-05", "1990-06", "1990-12", "1991-01", "9999-12"],
@@ -69,12 +72,15 @@ class TestDateIndex:
         assert nxt.dtype == np.int64
         assert nxt.tolist() == [rows.get(int(o) + 1, -1) for o in idx.ordinals]
 
-    def test_rows_between_clamps_bounds_of_any_size(self):
+    def test_window_rows_clamps_bounds_of_any_size(self):
         idx = DateIndex(["1990-01", "1990-03"])
-        assert idx.rows_between(-2 ** 70, 2 ** 70) == slice(0, 2)
-        assert idx.rows_between(2 ** 70, 2 ** 71) == slice(2, 2)
-        assert idx.rows_between(-2 ** 71, -2 ** 70) == slice(0, 0)
-        assert DateIndex([]).rows_between(0, 2 ** 70) == slice(0, 0)
+        for start, stop, lo, hi in [(-2 ** 70, 2 ** 70, [0, 0], [2, 2]),
+                                    (2 ** 70, 2 ** 71, [2, 2], [2, 2]),
+                                    (-2 ** 71, -2 ** 70, [0, 0], [0, 0]),
+                                    (-2 ** 70, 1, [0, 0], [1, 2])]:
+            got = idx.window_rows(start, stop)
+            assert [got[0].tolist(), got[1].tolist()] == [lo, hi], (start, stop)
+        assert [part.tolist() for part in DateIndex([]).window_rows(0, 2 ** 70)] == [[], []]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_from_ordinals_equals_the_parsed_periods(self, seed):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from factorlab import transforms as tr
 from factorlab.errors import AlignmentError, DataError
-from factorlab.panel import Panel
+from factorlab.panel import DateIndex, Panel
 
 from .conftest import make_panel, month_rows
 from .oracles import pct_interpolate
@@ -419,33 +419,52 @@ class TestAnnualToMonthly:
 # -- calendar-month windows vs a per-month lookup --------------------------------
 
 
-def _rows_by_month(dates, lo, hi):
-    """Rows of months lo..hi-1, looked up one calendar month at a time."""
-    rows = month_rows(dates)
+def _rows_by_month(rows, lo, hi):
+    """Rows of months lo..hi-1, looked up one calendar month at a time in
+    ``rows``, the ``month_rows`` of the index."""
     return [rows[m] for m in range(lo, hi) if m in rows]
 
 
 def _ref_rolling_stat(a, window, stat, min_obs):
     reduce = {"mean": np.nanmean, "sum": np.nansum, "min": np.nanmin, "max": np.nanmax}
     out = np.full_like(a.values, np.nan)
+    by_month = month_rows(a.dates)
     for i, o in enumerate(a.dates.ordinals):
-        rows = _rows_by_month(a.dates, int(o) - window + 1, int(o) + 1)
+        rows = _rows_by_month(by_month, int(o) - window + 1, int(o) + 1)
         if not rows:
             continue
         block = a.values[rows, :]
         count = np.count_nonzero(~np.isnan(block), axis=0)
         with np.errstate(invalid="ignore"):
-            vals = (tr._nan_std(block, count) if stat == "std"
-                    else tr._nan_reduce(block, reduce[stat], count))
+            vals = (_ref_nan_std(block, count) if stat == "std"
+                    else _ref_nan_reduce(block, reduce[stat], count))
         ok = count >= min_obs
         out[i, ok] = vals[ok]
     return out
 
 
+def _ref_nan_reduce(block, fn, count):
+    vals = np.full(block.shape[1], np.nan)
+    has = count > 0
+    if np.any(has):
+        vals[has] = fn(block[:, has], axis=0)
+    return vals
+
+
+def _ref_nan_std(block, count):
+    """Sample (n-1) standard deviation per column; <2 observations -> NaN."""
+    vals = np.full(block.shape[1], np.nan)
+    has = count >= 2
+    if np.any(has):
+        vals[has] = np.nanstd(block[:, has], axis=0, ddof=1)
+    return vals
+
+
 def _ref_rolling_compound(r, window, skip, min_obs):
     out = np.full_like(r.values, np.nan)
+    by_month = month_rows(r.dates)
     for i, o in enumerate(r.dates.ordinals):
-        rows = _rows_by_month(r.dates, int(o) - window, int(o) - skip)
+        rows = _rows_by_month(by_month, int(o) - window, int(o) - skip)
         if not rows:
             continue
         block = r.values[rows, :]
@@ -458,11 +477,12 @@ def _ref_rolling_compound(r, window, skip, min_obs):
 
 def _ref_annual_to_monthly(a, placement_month, offset, valid_months):
     out = np.full_like(a.values, np.nan)
+    by_month = month_rows(a.dates)
     for i, o in enumerate(a.dates.ordinals):
         present = ~np.isnan(a.values[i])
         if int(o) % 12 != placement_month - 1 or not np.any(present):
             continue
-        for pos in _rows_by_month(a.dates, int(o) + offset, int(o) + offset + valid_months):
+        for pos in _rows_by_month(by_month, int(o) + offset, int(o) + offset + valid_months):
             out[pos, present] = a.values[i][present]
     return out
 
@@ -492,7 +512,7 @@ class TestMonthWindowsMatchPerMonthLookup:
     def test_rolling_stat(self, gapped, window, stat):
         out = tr.rolling_stat(gapped, window, stat, min_obs=1)
         expected = _ref_rolling_stat(gapped, min(window, _span(gapped)), stat, 1)
-        np.testing.assert_array_equal(out.values, expected)
+        assert_same_bits(out.values, expected)
 
     @pytest.mark.parametrize("window, skip", [
         (12, 1), (3, 0), (6, 2), (HUGE[0], 1), (HUGE[1], 0), (HUGE[1], HUGE[0]),
@@ -502,7 +522,7 @@ class TestMonthWindowsMatchPerMonthLookup:
         skip_ref = min(skip, _span(gapped))
         window_ref = min(window, skip_ref + _span(gapped))
         expected = _ref_rolling_compound(gapped, window_ref, skip_ref, 1)
-        np.testing.assert_array_equal(out.values, expected)
+        assert_same_bits(out.values, expected)
 
     @pytest.mark.parametrize("placement_month", (6, 12))
     @pytest.mark.parametrize("offset, valid_months", [
@@ -514,7 +534,7 @@ class TestMonthWindowsMatchPerMonthLookup:
         expected = _ref_annual_to_monthly(gapped, placement_month,
                                           min(offset, _span(gapped)),
                                           min(valid_months, _span(gapped)))
-        np.testing.assert_array_equal(out.values, expected)
+        assert_same_bits(out.values, expected)
 
 
 # -- shared percentile conformance vs the sort-and-interpolate oracle ---------
@@ -752,3 +772,97 @@ def test_a_panel_without_assets_has_an_empty_universe_on_every_date():
     assert np.isnan(tr.xs_percentile_row(a, 50.0).values).all()
     assert flags == ["quantile_bins: 2000-01: empty universe",
                      "quantile_bins: 2000-02: empty universe"]
+
+
+# -- month-window kernels vs the per-date loops they replaced --------------------
+
+
+def month_window_case(seed, n_dates, n_assets):
+    """kernel_case values on a gapped month index, with -0.0 cells beside the
+    +0.0 ties, and 40 rows (at least 40 months) missing in the first column and
+    about a fifth of the others, so that some windows hold only missing cells."""
+    values = kernel_case(seed, n_dates, n_assets)[0].values.copy()
+    rng = np.random.default_rng(seed + 1)  # a stream apart from kernel_case's
+    values[rng.random(values.shape) < 0.05] = -0.0
+    start, stretch = int(rng.integers(max(n_dates - 40, 1))), rng.random(n_assets) < 0.2
+    stretch[0] = True
+    values[start:start + 40, stretch] = np.nan
+    ordinals = 1900 * 12 + np.cumsum(rng.choice([1, 1, 1, 2, 3], size=n_dates))
+    return Panel.source("X", DateIndex.from_ordinals(ordinals),
+                        [f"a{j}" for j in range(n_assets)], values)
+
+
+@pytest.fixture(scope="module", params=[(120, 50), (1200, 100), (72, 500), (240, 1)],
+                ids=lambda shape: "x".join(map(str, shape)))
+def windowed(request):
+    return month_window_case(13, *request.param)
+
+
+@pytest.fixture(scope="module")
+def zero_ties(windowed):
+    """Cells whose 36-month window holds both a -0.0 and a +0.0 cell."""
+    return _window_holds(windowed, 36, True) & _window_holds(windowed, 36, False)
+
+
+def _window_holds(a, window, negative):
+    marks = ((a.values == 0) & (np.signbit(a.values) == negative)).astype(np.float64)
+    return _ref_rolling_stat(Panel.source("Z", a.dates, a.assets, marks),
+                             window, "max", 1) == 1.0
+
+
+def assert_window_stat(got, expected, ties):
+    """Bit-equal, except that a zero min/max of a window holding both -0.0 and
+    +0.0 takes its sign from numpy's SIMD lane order, in the loop as in the
+    kernel; those cells are value-equal."""
+    ties = ties & (expected == 0)
+    assert_same_bits(np.where(ties, 0.0, got), np.where(ties, 0.0, expected))
+    assert np.all(got[ties] == 0)
+
+
+def test_month_window_case_has_the_edge_cells(windowed, zero_ties):
+    assert np.diff(windowed.dates.ordinals).max() > 1  # gaps
+    assert np.isnan(_ref_rolling_stat(windowed, 36, "sum", 1)).any()  # only missing cells
+    assert zero_ties.any()  # windows holding -0.0 and +0.0
+
+
+class TestMonthWindowKernelMatchesTheLoops:
+    def test_rolling_compound_return_jkp(self, windowed):
+        out = tr.rolling_compound_return(windowed, 12, 1, 8)
+        assert_same_bits(out.values, _ref_rolling_compound(windowed, 12, 1, 8))
+
+    @pytest.mark.parametrize("min_obs", (1, 3))
+    @pytest.mark.parametrize("stat, window", [
+        *((stat, 36) for stat in tr.ROLLING_STATS),
+        *((stat, 300) for stat in ("mean", "std", "sum")),  # > 128 rows: split sums
+    ])
+    def test_rolling_stat(self, windowed, zero_ties, stat, window, min_obs):
+        expected = _ref_rolling_stat(windowed, min(window, _span(windowed)), stat, min_obs)
+        got = tr.rolling_stat(windowed, window, stat, min_obs).values
+        if stat in ("min", "max"):
+            assert_window_stat(got, expected, zero_ties)
+        else:
+            assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("periods", [["1990-12"], []], ids=["one_row", "empty"])
+    def test_tiny_indexes(self, periods):
+        a = Panel.source("A", periods, ["a", "b", "c"],
+                         np.array([[0.02, -0.0, np.nan]] * len(periods)).reshape(-1, 3))
+        for stat in tr.ROLLING_STATS:
+            assert_same_bits(tr.rolling_stat(a, 12, stat, 1).values,
+                             _ref_rolling_stat(a, 12, stat, 1))
+        for window, skip in ((12, 1), (1, 0)):
+            assert_same_bits(tr.rolling_compound_return(a, window, skip, 1).values,
+                             _ref_rolling_compound(a, window, skip, 1))
+
+
+def test_window_sums_split_long_windows_as_numpy_does():
+    """More than 128 rows in a window: numpy halves it at a multiple of 8."""
+    rng = np.random.default_rng(5)
+    grid = rng.normal(size=(700, 3)) * 10.0 ** rng.integers(-8, 8, size=(700, 3))
+    grid[rng.random(grid.shape) < 0.1] = np.nan
+    lo = np.array([0, 0, 3, 100, 5, 0])
+    hi = np.array([700, 129, 140, 357, 5, 8])
+    got = tr.window_sums(grid, lo, hi)
+    expected = np.array([np.nansum(np.asfortranarray(grid[a:b]), axis=0)
+                         for a, b in zip(lo, hi)])
+    assert_same_bits(got, expected)
