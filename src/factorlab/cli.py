@@ -269,7 +269,7 @@ def cmd_report(args) -> int:
     except EngineError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     try:
-        rep = report.build_report(**kwargs)
+        doc = report.build_report(**kwargs)
     except EngineError as exc:
         _fail(EXIT_RUNTIME, str(exc))
 
@@ -277,8 +277,8 @@ def cmd_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     md_path = out / f"report_{args.spread}.md"
     json_path = out / f"report_{args.spread}.json"
-    md_path.write_text(report.render_markdown(rep))
-    json_path.write_text(report.render_json(rep))
+    md_path.write_text(report.render_markdown(doc))
+    json_path.write_text(report.render_json(doc))
     print(md_path)
     print(json_path)
     return EXIT_OK

@@ -4,6 +4,9 @@ The pipeline interpreter validates recipe steps against these specs, and the
 tool server derives its callable-tool descriptors from the same table, so
 static validation and the wire schema cannot drift apart. Both run a step
 through ``apply_step``, so they compute, check and record it the same way.
+The tool server declares and checks its non-operator tools with the same
+``OperatorSpec``/``validate_args`` (no module, no inputs); they stay out of
+``OPERATORS``, so recipes cannot name them.
 
 Each operator is the function of the same name in its spec's module, and
 ``execute_operator`` calls every one by a single rule: the input panels go in
@@ -60,8 +63,8 @@ class OperatorSpec:
     inputs_max: int | None  # None = variadic
     input_doc: str
     params: tuple[ParamSpec, ...]
-    returns: str  # "panel" or "series"
-    module: ModuleType  # defines the operator's function, under the operator's name
+    returns: str  # "panel", "series", or the result type of a non-operator tool
+    module: ModuleType | None = None  # defines the operator's function, under its name
     optional_input: str | None = None  # keyword of an input past inputs_min
     cross_check: Callable | None = None
 
@@ -109,8 +112,8 @@ def _check_type(p: ParamSpec, value):
             raise ArgError(f"{p.name}: expected an integer, got {value!r}", p.name)
         return int(value)
     if p.type == "string":
-        if not isinstance(value, str):
-            raise ArgError(f"{p.name}: expected a string, got {value!r}", p.name)
+        if not isinstance(value, str) or not value:
+            raise ArgError(f"{p.name}: expected a non-empty string, got {value!r}", p.name)
         return value
     if p.type == "bool":
         if not isinstance(value, bool):

@@ -286,20 +286,6 @@ class Panel:
             "date_span": span,
         }
 
-    def cell(self, period: str, asset: str) -> float:
-        return float(reframe(self.values, self.dates, DateIndex([period]),
-                             self.assets, (asset,))[0, 0])
-
-    def value_equal(self, other: "Panel") -> bool:
-        """Exact equality of frame, missing mask, and non-missing values."""
-        if self.dates != other.dates or self.assets != other.assets:
-            return False
-        a, b = self.values, other.values
-        return bool(
-            np.array_equal(np.isnan(a), np.isnan(b))
-            and np.array_equal(a[~np.isnan(a)], b[~np.isnan(b)])
-        )
-
     def is_series(self) -> bool:
         return self.n_assets == 1
 
@@ -613,25 +599,3 @@ def export_graph(registry: PanelRegistry, root_id: str) -> tuple[dict, str]:
         lines.append(f'  "{edge["from"]}" -> "{edge["to"]}";')
     lines.append("}")
     return doc, "\n".join(lines) + "\n"
-
-
-def topological_order(doc: dict) -> list[str]:
-    """Kahn topological sort of a graph document; raises on cycles."""
-    ids = [n["id"] for n in doc["nodes"]]
-    indeg = {i: 0 for i in ids}
-    out: dict[str, list[str]] = {i: [] for i in ids}
-    for e in doc["edges"]:
-        indeg[e["to"]] += 1
-        out[e["from"]].append(e["to"])
-    ready = [i for i in ids if indeg[i] == 0]
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for succ in out[node]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(ids):
-        raise DataError("provenance graph contains a cycle")
-    return order

@@ -130,5 +130,5 @@ def turnover(w: Panel) -> Panel:
         raise DataError("turnover needs at least two weight dates")
     grid = np.where(np.isnan(w.values), 0.0, w.values)
     diffs = 0.5 * np.sum(np.abs(grid[1:] - grid[:-1]), axis=1)
-    return Panel.derive("turnover", {}, [w], DateIndex(list(w.dates)[1:]),
+    return Panel.derive("turnover", {}, [w], DateIndex.from_ordinals(w.dates.ordinals[1:]),
                         (SERIES_ASSET,), diffs.reshape(-1, 1))

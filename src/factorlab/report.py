@@ -2,16 +2,18 @@
 
 Sections follow the replication-protocol layout: coverage by period, spread
 summary statistics, risk-adjusted alphas by model, and alphas by size
-quantile. Rendering is deterministic (returns at 4 decimals, t-statistics at
-2) so reports golden-file cleanly; the markdown is a pure view of the JSON
-document. The narrative is templated annotation text, never generated.
+quantile. ``build_report`` returns the report as one JSON-ready document with
+returns rounded to 4 decimals and t-statistics to 2, so reports golden-file
+cleanly; ``render_json`` and ``render_markdown`` are pure views of that
+document. The narrative is templated annotation text, never generated, and it
+reads the unrounded statistics.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -22,9 +24,7 @@ from .ops import ArgError
 from .panel import Panel, PanelRegistry
 from .portfolio import turnover as turnover_op
 from .riskstats import (
-    CoverageRow,
     RegressionResult,
-    StratifiedCell,
     coverage_by_period,
     size_stratified_alphas,
     summarize,
@@ -41,15 +41,27 @@ T_CONVENTIONAL = 1.96
 
 INSUFFICIENT = "insufficient data"
 
+SUMMARY_STATS = ("mean", "sd", "sharpe_annualized", "skewness", "min", "max")
 
-@dataclass
-class DiagnosticsReport:
-    metadata: dict
-    section_coverage: list[CoverageRow] | str
-    section_summary: dict | str
-    section_alphas: list[tuple[str, RegressionResult]] | str
-    section_size: list[StratifiedCell] | str
-    annotations: list[str] = field(default_factory=list)
+
+def _round(x, digits: int) -> float | None:
+    """``x`` rounded to ``digits`` places; None when it is None or NaN."""
+    x = None if x is None else float(x)
+    return None if x is None or math.isnan(x) else round(x, digits)
+
+
+def _regression_dict(result: RegressionResult) -> dict:
+    return {
+        "alpha": _round(result.alpha, 4),
+        "t_alpha": _round(result.t_alpha, 2),
+        "betas": {
+            name: {"coef": _round(b, 4), "t": _round(t, 2)}
+            for name, b, t in zip(result.factor_names, result.betas, result.t_betas)
+        },
+        "r2": _round(result.r2, 4),
+        "n_obs": result.n_obs,
+        "se_method": result.se_method,
+    }
 
 
 def build_report(
@@ -63,8 +75,8 @@ def build_report(
     recipe_reference: str = "",
     se_method: str = "ols",
     nw_lags: int = 0,
-) -> DiagnosticsReport:
-    """Assemble all four sections; section-level failures degrade to markers.
+) -> dict:
+    """The report document; a section that fails degrades to ``INSUFFICIENT``.
 
     ``spread`` and the model factors are series (one-column panels); the
     report names the factor and the betas by their panel ids.
@@ -74,107 +86,106 @@ def build_report(
     if np.any(live):
         idx = np.flatnonzero(live)
         span = [spread.dates[int(idx[0])], spread.dates[int(idx[-1])]]
-    metadata = {
-        "factor": spread.panel_id,
-        "sample_span": span,
-        "recipe": recipe_reference,
-        "panel_ids": {
-            "characteristic": char.panel_id,
-            "cap": cap.panel_id,
-            "size_bins": size_bins.panel_id,
-        },
-        "se_method": se_method if se_method == "ols" else f"newey_west({nw_lags})",
-    }
     annotations: list[str] = []
+    doc: dict = {
+        "metadata": {
+            "factor": spread.panel_id,
+            "sample_span": span,
+            "recipe": recipe_reference,
+            "panel_ids": {
+                "characteristic": char.panel_id,
+                "cap": cap.panel_id,
+                "size_bins": size_bins.panel_id,
+            },
+            "se_method": se_method if se_method == "ols" else f"newey_west({nw_lags})",
+        },
+        "annotations": annotations,
+    }
 
     try:
-        coverage = coverage_by_period(char, cap)
+        doc["coverage_by_period"] = [
+            {
+                **asdict(row),
+                "security_fraction": _round(row.security_fraction, 4),
+                "cap_share": _round(row.cap_share, 4),
+            }
+            for row in coverage_by_period(char, cap)
+        ]
     except EngineError as exc:
-        coverage = INSUFFICIENT
+        doc["coverage_by_period"] = INSUFFICIENT
         annotations.append(f"coverage section unavailable: {exc}")
 
     try:
         stats = summarize(spread)
-        summary = {
-            "mean": stats.mean,
-            "sd": stats.sd,
-            "sharpe_annualized": stats.sharpe_annualized,
-            "skewness": stats.skewness,
-            "min": stats.min,
-            "max": stats.max,
-            "n_obs": stats.n_obs,
-            "mean_turnover": None,
-        }
         if stats.flags:
-            summary = INSUFFICIENT
+            doc["summary_statistics"] = INSUFFICIENT
             annotations.extend(stats.flags)
-        elif weight_panel is not None:
-            try:
-                turnover = turnover_op(weight_panel).values[:, 0]
-                summary["mean_turnover"] = float(np.nanmean(turnover))
-            except EngineError:
-                pass
+        else:
+            summary = {name: _round(getattr(stats, name), 4) for name in SUMMARY_STATS}
+            summary["n_obs"] = stats.n_obs
+            summary["mean_turnover"] = None
+            if weight_panel is not None:
+                try:
+                    turnover = turnover_op(weight_panel).values[:, 0]
+                    summary["mean_turnover"] = _round(np.nanmean(turnover), 4)
+                except EngineError:
+                    pass
+            doc["summary_statistics"] = summary
     except EngineError as exc:
-        summary = INSUFFICIENT
+        doc["summary_statistics"] = INSUFFICIENT
         annotations.append(f"summary section unavailable: {exc}")
 
-    alphas: list[tuple[str, RegressionResult]] | str = []
+    fits: list[tuple[str, RegressionResult]] = []
     try:
-        for model, factors in models.items():
-            alphas.append(
-                (model, ts_regress(spread, list(factors), se_method=se_method, nw_lags=nw_lags))
-            )
-        if not alphas:
-            alphas = INSUFFICIENT
+        fits = [(model, ts_regress(spread, list(factors), se_method=se_method, nw_lags=nw_lags))
+                for model, factors in models.items()]
     except EngineError as exc:
-        alphas = INSUFFICIENT
         annotations.append(f"alpha section unavailable: {exc}")
+    doc["alphas_by_model"] = [
+        dict(model=model, **_regression_dict(result)) for model, result in fits
+    ] or INSUFFICIENT
 
+    cells = []
+    doc["alphas_by_size"] = INSUFFICIENT
     if spread_builder is None:
-        size_table: list[StratifiedCell] | str = INSUFFICIENT
         annotations.append("size section unavailable: no spread builder provided")
     else:
         try:
-            size_table = size_stratified_alphas(
+            cells = size_stratified_alphas(
                 spread_builder, size_bins, models, se_method=se_method, nw_lags=nw_lags
             )
+            doc["alphas_by_size"] = [
+                {
+                    "size_bin": cell.size_bin,
+                    "model": cell.model,
+                    "alpha": _round(cell.result.alpha, 4) if cell.result else None,
+                    "t_alpha": _round(cell.result.t_alpha, 2) if cell.result else None,
+                    "note": cell.note,
+                }
+                for cell in cells
+            ]
         except EngineError as exc:
-            size_table = INSUFFICIENT
             annotations.append(f"size section unavailable: {exc}")
 
-    if isinstance(alphas, list):
-        best_t = max((r.t_alpha for _, r in alphas if not math.isnan(r.t_alpha)),
-                     default=float("nan"))
-        if not math.isnan(best_t) and best_t >= T_HURDLE:
+    best_t = max((r.t_alpha for _, r in fits if not math.isnan(r.t_alpha)), default=math.nan)
+    if best_t >= T_HURDLE:
+        annotations.append(
+            f"alpha t-statistic {best_t:.2f} clears the {T_HURDLE:.1f} hurdle "
+            "recommended for new discoveries"
+        )
+
+    bins = sorted({c.size_bin for c in cells})
+    if len(bins) >= 2:
+        def best_in(size_bin):
+            return max((c.result.t_alpha for c in cells
+                        if c.size_bin == size_bin and c.result is not None), default=math.nan)
+
+        if best_in(bins[0]) >= T_CONVENTIONAL and not best_in(bins[-1]) >= T_CONVENTIONAL:
             annotations.append(
-                f"alpha t-statistic {best_t:.2f} clears the {T_HURDLE:.1f} hurdle "
-                "recommended for new discoveries"
+                "caution: performance concentrates in the smallest size "
+                "quantile, where trading frictions are largest"
             )
-
-    if isinstance(size_table, list):
-        bins = sorted({c.size_bin for c in size_table})
-        if len(bins) >= 2:
-            small_ts = [c.result.t_alpha for c in size_table
-                        if c.size_bin == bins[0] and c.result is not None]
-            big_ts = [c.result.t_alpha for c in size_table
-                      if c.size_bin == bins[-1] and c.result is not None]
-            small_best = max(small_ts, default=float("nan"))
-            big_best = max(big_ts, default=float("nan"))
-            if (not math.isnan(small_best) and small_best >= T_CONVENTIONAL
-                    and (math.isnan(big_best) or big_best < T_CONVENTIONAL)):
-                annotations.append(
-                    "caution: performance concentrates in the smallest size "
-                    "quantile, where trading frictions are largest"
-                )
-
-    return DiagnosticsReport(
-        metadata=metadata,
-        section_coverage=coverage,
-        section_summary=summary,
-        section_alphas=alphas,
-        section_size=size_table,
-        annotations=annotations,
-    )
+    return doc
 
 
 def resolve_arguments(registry: PanelRegistry, spread, characteristic, cap, size_bins,
@@ -212,10 +223,6 @@ def resolve_arguments(registry: PanelRegistry, spread, characteristic, cap, size
         kwargs["models"][model] = [lookup("models", i, f"models[{model}]", series=True)
                                    for i in ids]
 
-    for param, value in (("stratify_recipe", stratify_recipe),
-                         ("stratify_output", stratify_output)):
-        if value is not None and not isinstance(value, str):
-            raise ArgError(f"missing or invalid {param!r}", param)
     kwargs["spread_builder"] = None
     if stratify_recipe is not None:
         try:
@@ -236,95 +243,17 @@ def resolve_arguments(registry: PanelRegistry, spread, characteristic, cap, size
 # -- rendering ---------------------------------------------------------------
 
 
-def _round(x, digits: int) -> float | None:
-    """``x`` rounded to ``digits`` places; None when it is None or NaN."""
-    x = None if x is None else float(x)
-    return None if x is None or math.isnan(x) else round(x, digits)
-
-
 def _fmt(x, digits: int) -> str:
     v = _round(x, digits)
     return "n/a" if v is None else f"{v:.{digits}f}"
 
 
-def _regression_dict(result: RegressionResult) -> dict:
-    return {
-        "alpha": _round(result.alpha, 4),
-        "t_alpha": _round(result.t_alpha, 2),
-        "betas": {
-            name: {"coef": _round(b, 4), "t": _round(t, 2)}
-            for name, b, t in zip(result.factor_names, result.betas, result.t_betas)
-        },
-        "r2": _round(result.r2, 4),
-        "n_obs": result.n_obs,
-        "se_method": result.se_method,
-    }
+def render_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def report_document(r: DiagnosticsReport) -> dict:
-    """The canonical JSON-ready document; markdown renders this and nothing more."""
-    doc: dict = {"metadata": r.metadata, "annotations": list(r.annotations)}
-
-    if isinstance(r.section_coverage, str):
-        doc["coverage_by_period"] = r.section_coverage
-    else:
-        doc["coverage_by_period"] = [
-            {
-                "bucket": row.bucket,
-                "start": row.start,
-                "end": row.end,
-                "security_fraction": _round(row.security_fraction, 4),
-                "cap_share": _round(row.cap_share, 4),
-                "n_months": row.n_months,
-            }
-            for row in r.section_coverage
-        ]
-
-    if isinstance(r.section_summary, str):
-        doc["summary_statistics"] = r.section_summary
-    else:
-        s = r.section_summary
-        doc["summary_statistics"] = {
-            "mean": _round(s["mean"], 4),
-            "sd": _round(s["sd"], 4),
-            "sharpe_annualized": _round(s["sharpe_annualized"], 4),
-            "skewness": _round(s["skewness"], 4),
-            "min": _round(s["min"], 4),
-            "max": _round(s["max"], 4),
-            "n_obs": s["n_obs"],
-            "mean_turnover": _round(s["mean_turnover"], 4),
-        }
-
-    if isinstance(r.section_alphas, str):
-        doc["alphas_by_model"] = r.section_alphas
-    else:
-        doc["alphas_by_model"] = [
-            dict(model=model, **_regression_dict(res)) for model, res in r.section_alphas
-        ]
-
-    if isinstance(r.section_size, str):
-        doc["alphas_by_size"] = r.section_size
-    else:
-        doc["alphas_by_size"] = [
-            {
-                "size_bin": cell.size_bin,
-                "model": cell.model,
-                "alpha": _round(cell.result.alpha, 4) if cell.result else None,
-                "t_alpha": _round(cell.result.t_alpha, 2) if cell.result else None,
-                "note": cell.note,
-            }
-            for cell in r.section_size
-        ]
-    return doc
-
-
-def render_json(r: DiagnosticsReport) -> str:
-    return json.dumps(report_document(r), sort_keys=True, indent=2) + "\n"
-
-
-def render_markdown(r: DiagnosticsReport) -> str:
-    doc = report_document(r)
-    md = r.metadata
+def render_markdown(doc: dict) -> str:
+    md = doc["metadata"]
     lines = [f"# Factor Diagnostics: {md['factor']}", ""]
     span = md["sample_span"]
     lines.append(f"- sample span: {span[0]}..{span[1]}" if span else "- sample span: empty")

@@ -76,12 +76,7 @@ def momentum_rank_scores(returns: np.ndarray, month: int) -> np.ndarray:
     growth = np.prod(1.0 + window, axis=0) - 1.0
     complete = ~np.isnan(growth)
     scores = np.zeros(n)
-    idx = np.flatnonzero(complete)
-    if idx.size:
-        order = np.argsort(growth[idx], kind="stable")
-        ranks = np.empty(idx.size)
-        ranks[order] = np.arange(1, idx.size + 1)
-        scores[idx] = (ranks - (idx.size + 1) / 2.0) / idx.size
+    scores[complete] = rank_scores(growth[complete])
     return scores
 
 

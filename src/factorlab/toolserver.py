@@ -4,10 +4,15 @@ Exposes every registered panel operator plus load_source, save_panel,
 export_graph, build_report, and catalog_lookup as callable tools, so generic
 JSON-RPC clients (agent frameworks included) can drive the engine. One
 message per line; methods are ``tools/list`` and
-``tools/call {"name", "arguments"}``. Panel-producing tools return a summary
-payload (id, shape, coverage, span); full data moves through save_panel and
-file reads. Each server process owns one isolated session registry and binds
-only to the stdio of its parent, so there is no authentication layer.
+``tools/call {"name", "arguments"}``. The five non-operator tools are
+declared in ``TOOLS`` with the operators' ``OperatorSpec``/``ParamSpec``, so
+``tools/list`` describes and ``validate_args`` checks every tool the same
+way; a checked call runs ``ToolServer._tool_<name>(**args)``. Panel-producing
+tools return a summary payload (id, shape, coverage, span); full data moves
+through save_panel and file reads, and build_report returns the report
+document with its markdown rendering. Each server process owns one isolated
+session registry and binds only to the stdio of its parent, so there is no
+authentication layer.
 
 Error codes: -32700 parse, -32600 invalid request, -32601 unknown method or
 tool, -32602 invalid params (message names the offending field), -32000
@@ -22,7 +27,7 @@ import sys
 from . import panel as panelio
 from . import pipeline, report
 from .errors import EngineError, StepExecutionError
-from .ops import ArgError, OPERATORS, apply_step
+from .ops import OPERATORS, ArgError, OperatorSpec, ParamSpec, apply_step, validate_args
 from .panel import Panel, PanelRegistry
 
 PARSE_ERROR = -32700
@@ -33,76 +38,61 @@ RUNTIME_ERROR = -32000
 
 PROTOCOL_VERSION = "2.0"
 
-EXTRA_TOOLS = {
-    "load_source": {
-        "name": "load_source",
-        "description": "Load a saved panel from a directory into the session registry.",
-        "inputs": {"min": 0, "max": 0, "doc": "none; reads from disk"},
-        "parameters": [
-            {"name": "directory", "type": "string", "required": True,
-             "doc": "directory containing <panel_id>.csv and <panel_id>.meta.json"},
-            {"name": "panel_id", "type": "string", "required": True,
-             "doc": "panel id to load"},
-        ],
-        "returns": {"type": "panel_payload"},
-    },
-    "save_panel": {
-        "name": "save_panel",
-        "description": "Write a registered panel to disk as CSV plus metadata.",
-        "inputs": {"min": 0, "max": 0, "doc": "none; writes to disk"},
-        "parameters": [
-            {"name": "panel_id", "type": "string", "required": True,
-             "doc": "registered panel id"},
-            {"name": "directory", "type": "string", "required": True,
-             "doc": "output directory"},
-        ],
-        "returns": {"type": "file_list"},
-    },
-    "export_graph": {
-        "name": "export_graph",
-        "description": "Provenance subgraph of a panel as JSON and DOT.",
-        "inputs": {"min": 0, "max": 0, "doc": "none"},
-        "parameters": [
-            {"name": "panel_id", "type": "string", "required": True,
-             "doc": "root panel id"},
-        ],
-        "returns": {"type": "graph_document"},
-    },
-    "build_report": {
-        "name": "build_report",
-        "description": "Standardized four-section diagnostics report for a spread.",
-        "inputs": {"min": 0, "max": 0, "doc": "none; references registered panels"},
-        "parameters": [
-            {"name": "spread", "type": "string", "required": True,
-             "doc": "panel id of the spread return series (one column)"},
-            {"name": "characteristic", "type": "string", "required": True,
-             "doc": "panel id of the sorting characteristic"},
-            {"name": "cap", "type": "string", "required": True,
-             "doc": "panel id of market equity"},
-            {"name": "size_bins", "type": "string", "required": True,
-             "doc": "panel id of integer size bins"},
-            {"name": "models", "type": "map", "required": True,
-             "doc": "model name -> list of factor series panel ids"},
-            {"name": "stratify_recipe", "type": "string", "required": False,
-             "doc": "recipe path or shipped name rebuilt per size bin"},
-            {"name": "stratify_output", "type": "string", "required": False,
-             "doc": "recipe output treated as the spread (default: recipe's last step)"},
-            {"name": "weights", "type": "string", "required": False,
-             "doc": "panel id of spread leg weights for the turnover statistic"},
-        ],
-        "returns": {"type": "report_document"},
-    },
-    "catalog_lookup": {
-        "name": "catalog_lookup",
-        "description": "Rank catalog data items by keyword match against a query.",
-        "inputs": {"min": 0, "max": 0, "doc": "none"},
-        "parameters": [
-            {"name": "query", "type": "string", "required": True,
-             "doc": "free-text query"},
-        ],
-        "returns": {"type": "catalog_matches"},
-    },
-}
+TOOLS: dict[str, OperatorSpec] = {spec.name: spec for spec in (
+    OperatorSpec(
+        "load_source", "Load a saved panel from a directory into the session registry.",
+        0, 0, "none; reads from disk",
+        (
+            ParamSpec("directory", "string", required=True,
+                      doc="directory containing <panel_id>.csv and <panel_id>.meta.json"),
+            ParamSpec("panel_id", "string", required=True, doc="panel id to load"),
+        ),
+        "panel_payload",
+    ),
+    OperatorSpec(
+        "save_panel", "Write a registered panel to disk as CSV plus metadata.",
+        0, 0, "none; writes to disk",
+        (
+            ParamSpec("panel_id", "string", required=True, doc="registered panel id"),
+            ParamSpec("directory", "string", required=True, doc="output directory"),
+        ),
+        "file_list",
+    ),
+    OperatorSpec(
+        "export_graph", "Provenance subgraph of a panel as JSON and DOT.",
+        0, 0, "none",
+        (ParamSpec("panel_id", "string", required=True, doc="root panel id"),),
+        "graph_document",
+    ),
+    OperatorSpec(
+        "build_report", "Standardized four-section diagnostics report for a spread.",
+        0, 0, "none; references registered panels",
+        (
+            ParamSpec("spread", "string", required=True,
+                      doc="panel id of the spread return series (one column)"),
+            ParamSpec("characteristic", "string", required=True,
+                      doc="panel id of the sorting characteristic"),
+            ParamSpec("cap", "string", required=True, doc="panel id of market equity"),
+            ParamSpec("size_bins", "string", required=True,
+                      doc="panel id of integer size bins"),
+            ParamSpec("models", "map", required=True,
+                      doc="model name -> list of factor series panel ids"),
+            ParamSpec("stratify_recipe", "string",
+                      doc="recipe path or shipped name rebuilt per size bin"),
+            ParamSpec("stratify_output", "string",
+                      doc="recipe output treated as the spread (default: recipe's last step)"),
+            ParamSpec("weights", "string",
+                      doc="panel id of spread leg weights for the turnover statistic"),
+        ),
+        "report_document",
+    ),
+    OperatorSpec(
+        "catalog_lookup", "Rank catalog data items by keyword match against a query.",
+        0, 0, "none",
+        (ParamSpec("query", "string", required=True, doc="free-text query"),),
+        "catalog_matches",
+    ),
+)}
 
 
 class RpcError(Exception):
@@ -115,26 +105,27 @@ class RpcError(Exception):
 class ToolServer:
     """One session: an isolated panel registry driven by tool calls."""
 
-    def __init__(self, registry: PanelRegistry | None = None, catalog=None):
+    def __init__(self, registry: PanelRegistry | None = None):
         self.registry = PanelRegistry() if registry is None else registry
-        self.catalog = catalog or pipeline.load_catalog()
+        self.catalog = pipeline.load_catalog()
 
     # -- tool surface --------------------------------------------------------
 
     def list_tools(self) -> list[dict]:
-        tools = [spec.describe() for spec in OPERATORS.values()]
-        tools.extend(EXTRA_TOOLS.values())
-        return sorted(tools, key=lambda t: t["name"])
+        specs = [*OPERATORS.values(), *TOOLS.values()]
+        return sorted((spec.describe() for spec in specs), key=lambda t: t["name"])
 
     def call_tool(self, name: str, arguments: dict) -> dict:
         if not isinstance(arguments, dict):
             raise RpcError(INVALID_PARAMS, "arguments must be an object")
         if name in OPERATORS:
             return self._call_operator(name, arguments)
-        handler = getattr(self, f"_tool_{name}", None)
-        if name not in EXTRA_TOOLS or handler is None:
+        if name not in TOOLS:
             raise RpcError(METHOD_NOT_FOUND, f"unknown tool {name!r}")
-        return handler(arguments)
+        try:
+            return getattr(self, f"_tool_{name}")(**validate_args(TOOLS[name], arguments, 0))
+        except ArgError as exc:
+            raise RpcError(INVALID_PARAMS, str(exc), data={"param": exc.param}) from exc
 
     def _call_operator(self, name: str, arguments: dict) -> dict:
         input_ids = arguments.get("inputs", [])
@@ -156,19 +147,9 @@ class ToolServer:
             raise RpcError(RUNTIME_ERROR, f"op {name!r} failed: {exc}") from exc
         return self.registry.get(panel_id).payload()
 
-    # -- non-operator tools ----------------------------------------------------
+    # -- non-operator tools: called with the arguments validate_args returns ----
 
-    @staticmethod
-    def _required_str(arguments: dict, key: str) -> str:
-        value = arguments.get(key)
-        if not isinstance(value, str) or not value:
-            raise RpcError(INVALID_PARAMS, f"missing or invalid {key!r}",
-                           data={"param": key})
-        return value
-
-    def _tool_load_source(self, arguments: dict) -> dict:
-        directory = self._required_str(arguments, "directory")
-        panel_id = self._required_str(arguments, "panel_id")
+    def _tool_load_source(self, directory: str, panel_id: str) -> dict:
         try:
             panel = panelio.load(directory, panel_id)
         except EngineError as exc:
@@ -178,9 +159,7 @@ class ToolServer:
         self.registry.register(fresh)
         return self.registry.get(panel_id).payload()
 
-    def _tool_save_panel(self, arguments: dict) -> dict:
-        panel_id = self._required_str(arguments, "panel_id")
-        directory = self._required_str(arguments, "directory")
+    def _tool_save_panel(self, panel_id: str, directory: str) -> dict:
         try:
             panel = self.registry.get(panel_id)
         except EngineError as exc:
@@ -191,32 +170,22 @@ class ToolServer:
             raise RpcError(RUNTIME_ERROR, str(exc)) from exc
         return {"files": [str(f) for f in files]}
 
-    def _tool_export_graph(self, arguments: dict) -> dict:
-        panel_id = self._required_str(arguments, "panel_id")
+    def _tool_export_graph(self, panel_id: str) -> dict:
         try:
             doc, dot = panelio.export_graph(self.registry, panel_id)
         except EngineError as exc:
             raise RpcError(INVALID_PARAMS, str(exc), data={"param": "panel_id"}) from exc
         return {"graph": doc, "dot": dot}
 
-    def _tool_build_report(self, arguments: dict) -> dict:
-        params = EXTRA_TOOLS["build_report"]["parameters"]
+    def _tool_build_report(self, **arguments) -> dict:
+        kwargs = report.resolve_arguments(self.registry, **arguments)  # ArgError: -32602
         try:
-            kwargs = report.resolve_arguments(
-                self.registry, **{p["name"]: arguments.get(p["name"]) for p in params})
-        except ArgError as exc:
-            raise RpcError(INVALID_PARAMS, str(exc), data={"param": exc.param}) from exc
-        try:
-            rep = report.build_report(**kwargs)
+            doc = report.build_report(**kwargs)
         except EngineError as exc:
             raise RpcError(RUNTIME_ERROR, str(exc)) from exc
-        return {
-            "document": report.report_document(rep),
-            "markdown": report.render_markdown(rep),
-        }
+        return {"document": doc, "markdown": report.render_markdown(doc)}
 
-    def _tool_catalog_lookup(self, arguments: dict) -> dict:
-        query = self._required_str(arguments, "query")
+    def _tool_catalog_lookup(self, query: str) -> dict:
         return {"matches": pipeline.catalog_lookup(query, self.catalog)}
 
     # -- JSON-RPC plumbing -----------------------------------------------------

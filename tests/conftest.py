@@ -8,7 +8,7 @@ import pytest
 
 from factorlab import panel as panelio
 from factorlab.ingest import ingest_dataset
-from factorlab.panel import DateIndex, Panel
+from factorlab.panel import DateIndex, Panel, reframe
 from factorlab.synthetic import GeneratorConfig, generate_synthetic
 
 # the oracle-equivalence dataset: seed 42, 50 assets, 120 months, 40% NYSE,
@@ -30,6 +30,22 @@ def make_panel(panel_id, periods, assets, rows) -> Panel:
         [[np.nan if v is None else float(v) for v in row] for row in rows]
     )
     return Panel.source(panel_id, DateIndex(periods), tuple(assets), grid)
+
+
+def value_equal(a: Panel, b: Panel) -> bool:
+    """Exact equality of frame, missing mask, and non-missing values."""
+    if a.dates != b.dates or a.assets != b.assets:
+        return False
+    x, y = a.values, b.values
+    return bool(
+        np.array_equal(np.isnan(x), np.isnan(y))
+        and np.array_equal(x[~np.isnan(x)], y[~np.isnan(y)])
+    )
+
+
+def cell(p: Panel, period: str, asset: str) -> float:
+    """The value of one (period, asset) cell; NaN when the frame lacks it."""
+    return float(reframe(p.values, p.dates, DateIndex([period]), p.assets, (asset,))[0, 0])
 
 
 def month_rows(dates: DateIndex) -> dict[int, int]:

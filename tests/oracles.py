@@ -321,3 +321,28 @@ def sim_at_k_enumerated(attempt_sims, k: int) -> float:
     sims = [float(s) for s in attempt_sims]
     subsets = list(combinations(range(len(sims)), k))
     return sum(max(sims[j] for j in subset) for subset in subsets) / len(subsets)
+
+
+# -- provenance graph -----------------------------------------------------------
+
+
+def topological_order(doc: dict) -> list[str]:
+    """Kahn topological sort of an ``export_graph`` document; raises on cycles."""
+    ids = [n["id"] for n in doc["nodes"]]
+    indeg = {i: 0 for i in ids}
+    out: dict[str, list[str]] = {i: [] for i in ids}
+    for e in doc["edges"]:
+        indeg[e["to"]] += 1
+        out[e["from"]].append(e["to"])
+    ready = [i for i in ids if indeg[i] == 0]
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for succ in out[node]:
+            indeg[succ] -= 1
+            if indeg[succ] == 0:
+                ready.append(succ)
+    if len(order) != len(ids):
+        raise ValueError("provenance graph contains a cycle")
+    return order

@@ -20,7 +20,7 @@ from factorlab.panel import DateIndex, Panel, month_ordinal
 from factorlab.transforms import align_panels
 from factorlab.synthetic import GeneratorConfig, generate_synthetic
 
-from .conftest import make_panel, month_rows
+from .conftest import cell, make_panel, month_rows, value_equal
 
 
 def write_monthly(path, rows):
@@ -81,7 +81,7 @@ class TestIngestMonthly:
         result = ingest_monthly(f)
         for panel in result.panels.values():
             panelio.save(panel, tmp_path / "panels")
-            assert panelio.load(tmp_path / "panels", panel.panel_id).value_equal(panel)
+            assert value_equal(panelio.load(tmp_path / "panels", panel.panel_id), panel)
 
 
     def test_wrong_width_names_the_line(self, tmp_path):
@@ -121,7 +121,7 @@ class TestIngestAnnual:
         write_annual(f, ["1990-12,a,100,,,"])
         result = ingest_annual(f)
         seq = result.panels["SEQ"]
-        assert seq.cell("1990-12", "a") == 100.0
+        assert cell(seq, "1990-12", "a") == 100.0
         assert seq.n_nonmissing() == 1
 
     def test_two_fiscal_years(self, tmp_path):
@@ -257,7 +257,7 @@ def reference_ingest_annual(csv_path, frame=None) -> IngestResult:
 def assert_same_result(got: IngestResult, want: IngestResult):
     assert list(got.panels) == list(want.panels)
     for name, panel in want.panels.items():
-        assert got.panels[name].value_equal(panel), name
+        assert value_equal(got.panels[name], panel), name
         assert got.panels[name].provenance == panel.provenance
     assert (got.n_rows, got.removed, got.skipped_rows) == \
         (want.n_rows, want.removed, want.skipped_rows)
@@ -357,10 +357,10 @@ class TestBookToMarket:
         capco_vals[periods.index("1990-12")] = [180.0]
         capco = make_panel("CAPCO", periods, ["a"], capco_vals)
         bm = book_to_market(be, capco)
-        assert bm.cell("1991-06", "a") == 0.5
-        assert bm.cell("1992-05", "a") == 0.5
-        assert np.isnan(bm.cell("1991-05", "a"))
-        assert np.isnan(bm.cell("1992-06", "a"))
+        assert cell(bm, "1991-06", "a") == 0.5
+        assert cell(bm, "1992-05", "a") == 0.5
+        assert np.isnan(cell(bm, "1991-05", "a"))
+        assert np.isnan(cell(bm, "1992-06", "a"))
 
     def test_earlier_fiscal_month(self):
         periods = self._frame()
@@ -369,7 +369,7 @@ class TestBookToMarket:
         be = make_panel("BE", periods, ["a"], be_vals)
         capco = make_panel("CAPCO", periods, ["a"], [[100.0]] * len(periods))
         bm = book_to_market(be, capco)
-        assert bm.cell("1991-06", "a") == 0.5
+        assert cell(bm, "1991-06", "a") == 0.5
 
     def test_missing_december_capco(self):
         periods = self._frame()
@@ -380,7 +380,7 @@ class TestBookToMarket:
         capco_vals[periods.index("1990-12")] = [None]
         capco = make_panel("CAPCO", periods, ["a"], capco_vals)
         bm = book_to_market(be, capco)
-        assert np.isnan(bm.cell("1991-06", "a"))
+        assert np.isnan(cell(bm, "1991-06", "a"))
 
     def test_positive_wherever_defined(self, source_panels):
         bm = book_to_market(
@@ -488,7 +488,7 @@ class TestGenerator:
         p1 = ingest_monthly(d1 / "monthly.csv").panels
         p2 = ingest_monthly(d2 / "monthly.csv").panels
         for name in p1:
-            assert p1[name].value_equal(p2[name])
+            assert value_equal(p1[name], p2[name])
 
     def test_invalid_config(self):
         with pytest.raises(DataError):

@@ -9,14 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from factorlab import ops, pipeline, transforms
 from factorlab import panel as panelio
-from factorlab import pipeline, transforms
+from factorlab.errors import DataError
 from factorlab.panel import DateIndex, Panel
+from factorlab.pipeline import CatalogEntry
 from factorlab.toolserver import (
     INVALID_PARAMS,
     METHOD_NOT_FOUND,
     PARSE_ERROR,
     RUNTIME_ERROR,
+    TOOLS,
     ToolServer,
 )
 
@@ -114,6 +117,39 @@ def test_parse_error(server):
     assert response["id"] is None
 
 
+REPORT = {"spread": "S", "characteristic": "CHAR", "cap": "CAP", "size_bins": "SB",
+          "models": {"CAPM": ["M"]}}
+
+# valid arguments of each non-operator tool, for the cases that break one of them
+TOOL_ARGUMENTS = {
+    "load_source": {"directory": "sources", "panel_id": "CAP"},
+    "save_panel": {"panel_id": "CAP", "directory": "out"},
+    "export_graph": {"panel_id": "CAP"},
+    "build_report": {**REPORT, "stratify_recipe": "hml", "stratify_output": "HML_spread",
+                     "weights": "CAP"},
+    "catalog_lookup": {"query": "book equity"},
+}
+
+
+def tool_argument_cases():
+    """Per non-operator tool: an unknown key, then per parameter a missing
+    required value, a wrong type and (for strings) an empty string."""
+    assert set(TOOL_ARGUMENTS) == set(TOOLS)
+    for tool, valid in TOOL_ARGUMENTS.items():
+        yield pytest.param(tool, {**valid, "bogus": 1}, INVALID_PARAMS, "bogus",
+                           id=f"{tool}-unknown")
+        for p in TOOLS[tool].params:
+            if p.required:
+                missing = {k: v for k, v in valid.items() if k != p.name}
+                yield pytest.param(tool, missing, INVALID_PARAMS, p.name,
+                                   id=f"{tool}-{p.name}-missing")
+            yield pytest.param(tool, {**valid, p.name: 5}, INVALID_PARAMS, p.name,
+                               id=f"{tool}-{p.name}-type")
+            if p.type == "string":
+                yield pytest.param(tool, {**valid, p.name: ""}, INVALID_PARAMS, p.name,
+                                   id=f"{tool}-{p.name}-empty")
+
+
 @pytest.mark.parametrize("tool, arguments, code, param", [
     ("no_such_tool", {}, METHOD_NOT_FOUND, None),
     ("quantile_bins", {"inputs": ["CAP"], "args": {"percentiles": [150]}},
@@ -124,11 +160,29 @@ def test_parse_error(server):
      INVALID_PARAMS, "hi_pct"),
     ("lag", {"inputs": ["CAP"], "args": {"k": 1}, "name": "not an id"},
      INVALID_PARAMS, "name"),
+    ("binary_op", {"inputs": ["CAP", "CAP"], "args": {"op": ""}}, INVALID_PARAMS, "op"),
+    ("trend", {"inputs": ["CAP"], "args": {"name": ""}}, INVALID_PARAMS, "name"),
+    *tool_argument_cases(),
 ])
 def test_error_codes(server, tool, arguments, code, param):
+    before = server.registry.ids()
     error = call(server, tool, arguments)["error"]
     assert error["code"] == code
     assert error.get("data", {}).get("param") == param
+    assert server.registry.ids() == before
+
+
+def test_an_empty_string_is_refused_by_the_argument_check(server):
+    error = call(server, "catalog_lookup", {"query": ""})["error"]
+    assert error == {"code": INVALID_PARAMS, "data": {"param": "query"},
+                     "message": "query: expected a non-empty string, got ''"}
+
+
+def test_the_non_operator_tools_are_not_recipe_operators():
+    assert set(TOOLS).isdisjoint(ops.OPERATORS)
+    for name in TOOLS:
+        with pytest.raises(ops.ArgError, match="unknown op"):
+            ops.get_operator(name)
 
 
 def test_all_missing_output_is_a_runtime_error_and_not_registered(server):
@@ -181,10 +235,33 @@ def test_a_given_empty_registry_is_the_session_registry(source_panels):
     assert "CAP" in registry
 
 
-# -- build_report ------------------------------------------------------------------
+# -- catalog_lookup -----------------------------------------------------------------
 
-REPORT = {"spread": "S", "characteristic": "CHAR", "cap": "CAP", "size_bins": "SB",
-          "models": {"CAPM": ["M"]}}
+
+def test_catalog_lookup_ranks_by_matches_breaks_ties_by_id_and_drops_misses():
+    catalog = [CatalogEntry("zeta", "Book equity, total", "annual"),
+               CatalogEntry("alpha", "book value per share", "annual"),
+               CatalogEntry("beta", "book equity of the firm", "annual"),
+               CatalogEntry("gamma", "monthly return", "monthly")]
+    got = pipeline.catalog_lookup("BOOK equity!", catalog)
+    assert [(m["item_id"], m["score"]) for m in got] == [("beta", 2), ("zeta", 2), ("alpha", 1)]
+    assert got[0] == {"item_id": "beta", "description": "book equity of the firm",
+                      "source_table": "annual", "score": 2}
+    assert pipeline.catalog_lookup("dividend", catalog) == []
+    with pytest.raises(DataError, match="catalog is empty"):
+        pipeline.catalog_lookup("book", [])
+
+
+def test_catalog_lookup_tool_searches_the_shipped_catalog(server):
+    query = "book equity preferred stock"
+    matches = call(server, "catalog_lookup", {"query": query})["result"]["matches"]
+    assert matches == pipeline.catalog_lookup(query, pipeline.load_catalog())
+    assert matches and all(m["score"] > 0 for m in matches)
+    keys = [(-m["score"], m["item_id"]) for m in matches]
+    assert keys == sorted(keys)
+
+
+# -- build_report ------------------------------------------------------------------
 
 
 def test_build_report(server):

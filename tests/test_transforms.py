@@ -11,7 +11,7 @@ from factorlab import transforms as tr
 from factorlab.errors import AlignmentError, DataError
 from factorlab.panel import DateIndex, Panel
 
-from .conftest import make_panel, month_rows
+from .conftest import make_panel, month_rows, value_equal
 from .oracles import pct_interpolate
 
 
@@ -343,9 +343,7 @@ class TestTrend:
     def test_identity(self):
         p = row_panel([1.0, 2.0])
         out = tr.trend(p, "identity")
-        assert out.value_equal(
-            Panel.source("x", list(p.dates), p.assets, p.values)
-        )
+        assert value_equal(out, Panel.source("x", list(p.dates), p.assets, p.values))
 
     def test_ewma_consistency(self):
         periods = [f"2000-{m:02d}" for m in range(1, 13)]
