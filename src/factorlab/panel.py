@@ -6,6 +6,9 @@ explicit missing marker. Panels never mutate after registration; every
 operation produces a new panel carrying a ProvenanceRecord, so the registry
 forms a directed acyclic graph from raw inputs to final outputs.
 
+A DateIndex is its month ordinals, with labels formatted on demand; every
+calendar offset is a row range of ``DateIndex.window_rows``.
+
 A per-date scalar series (factor returns, thresholds, turnover) is a
 one-column panel whose single asset is named "value". Operators that produce
 one derive it like any other panel, so a series carries provenance from the
@@ -24,6 +27,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -55,32 +59,26 @@ def ordinal_to_period(ordinal: int) -> str:
 
 
 class DateIndex:
-    """Strictly increasing monthly periods, gaps allowed. ``next_month_rows`` is the
-    t+1 lookup and ``window_rows`` the calendar-window one."""
-
-    __slots__ = ("periods", "ordinals")
+    """Strictly increasing months, gaps allowed, kept as read-only int64 ``ordinals``;
+    ``periods`` are formatted on first access and cached, ``index[i]`` formats one."""
 
     def __init__(self, periods: Sequence[str]):
-        periods = tuple(periods)
-        self._fill(periods, np.array([month_ordinal(p) for p in periods], dtype=np.int64))
+        self._fill([month_ordinal(p) for p in periods])
 
-    def _fill(self, periods: tuple[str, ...], ordinals: np.ndarray) -> None:
-        if len(ordinals) > 1 and not np.all(np.diff(ordinals) > 0):
+    def _fill(self, ordinals: Iterable[int]) -> None:
+        self.ordinals = np.array(ordinals, dtype=np.int64)
+        bad = np.flatnonzero((self.ordinals < 0) | (self.ordinals >= 12 * 10000))
+        if bad.size:  # off 0000-01 .. 9999-12
+            raise DataError(f"bad period {self[bad[0]]!r}, expected YYYY-MM")
+        if len(self) > 1 and not np.all(np.diff(self.ordinals) > 0):
             raise DataError("date index must be strictly increasing with no duplicates")
-        self.periods = periods
-        self.ordinals = ordinals
         self.ordinals.setflags(write=False)
 
     @classmethod
     def from_ordinals(cls, ordinals: Iterable[int]) -> "DateIndex":
-        """The index of these month ordinals, formatted once and never re-parsed."""
-        ordinals = np.array(ordinals, dtype=np.int64)
-        bad = np.flatnonzero((ordinals < 0) | (ordinals >= 12 * 10000))  # 0000-01 .. 9999-12
-        if bad.size:
-            raise DataError(f"bad period {ordinal_to_period(ordinals[bad[0]])!r}, expected YYYY-MM")
-        years, months = (part.tolist() for part in np.divmod(ordinals, 12))
+        """The index of these month ordinals; no period is parsed or formatted."""
         index = cls.__new__(cls)
-        index._fill(tuple(f"{y:04d}-{m + 1:02d}" for y, m in zip(years, months)), ordinals)
+        index._fill(ordinals)
         return index
 
     @classmethod
@@ -88,28 +86,24 @@ class DateIndex:
         o = month_ordinal(start)
         return cls.from_ordinals(range(o, o + n_months))
 
+    @cached_property
+    def periods(self) -> tuple[str, ...]:
+        return tuple(map(ordinal_to_period, self.ordinals.tolist()))
+
     def __len__(self) -> int:
-        return len(self.periods)
+        return len(self.ordinals)
 
     def __iter__(self):
         return iter(self.periods)
 
     def __getitem__(self, i: int) -> str:
-        return self.periods[i]
+        return ordinal_to_period(self.ordinals[i])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DateIndex) and self.periods == other.periods
+        return isinstance(other, DateIndex) and np.array_equal(self.ordinals, other.ordinals)
 
     def __repr__(self) -> str:
-        if not self.periods:
-            return "DateIndex([])"
-        return f"DateIndex({self.periods[0]}..{self.periods[-1]}, n={len(self)})"
-
-    def next_month_rows(self) -> np.ndarray:
-        """Row of the next calendar month for each row, or -1 when that month is absent."""
-        nxt = np.searchsorted(self.ordinals, self.ordinals + 1)
-        found = self.ordinals[np.minimum(nxt, len(self) - 1)] == self.ordinals + 1
-        return np.where(found, nxt, -1)
+        return f"DateIndex({self[0]}..{self[-1]}, n={len(self)})" if len(self) else "DateIndex([])"
 
     def window_rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Row range ``lo[i]:hi[i]`` of the months in ``[o + start, o + stop)``
@@ -118,15 +112,14 @@ class DateIndex:
         The offsets are clamped to the index span first, so any Python int is
         accepted; the cost does not depend on the width of the range.
         """
-        span = int(self.ordinals[-1] - self.ordinals[0]) + 1 if len(self.periods) else 0
+        span = int(self.ordinals[-1] - self.ordinals[0]) + 1 if len(self) else 0
         start, stop = (min(max(int(b), -span), span) for b in (start, stop))
         return (np.searchsorted(self.ordinals, self.ordinals + start),
                 np.searchsorted(self.ordinals, self.ordinals + stop))
 
     def union(self, other: "DateIndex") -> "DateIndex":
-        if self == other:
-            return self
-        return DateIndex.from_ordinals(np.union1d(self.ordinals, other.ordinals))
+        return self if self == other else DateIndex.from_ordinals(
+            np.union1d(self.ordinals, other.ordinals))
 
     def intersection(self, other: "DateIndex") -> "DateIndex":
         return DateIndex.from_ordinals(np.intersect1d(self.ordinals, other.ordinals))

@@ -5,17 +5,16 @@ earn month t+1 returns, and the result is stamped at t+1 (no lookahead).
 Assets whose next-month return is missing are dropped and the surviving
 weights renormalized, approximating investing only in tradable names. Both
 operators renormalise through one masked helper, ``_renormalized``, so their
-sums may differ from a per-row loop by ulps.
+sums may differ from a per-row loop by ulps. Month t+1 is row ``lo`` of
+``DateIndex.window_rows(1, 2)``; the spreads align legs with ``align_panels``.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import DataError
-from .panel import SERIES_ASSET, DateIndex, Panel, reframe
+from .panel import SERIES_ASSET, DateIndex, Panel
 from .transforms import align_panels, flag_rows
 
 SORT_CELLS_2X3 = ("SG", "SN", "SV", "BG", "BN", "BV")
@@ -64,9 +63,9 @@ def portfolio_return(w: Panel, r: Panel, flags: list[str] | None = None) -> Pane
     produce no output.
     """
     dates, assets, (gw, gr) = align_panels(w, r)
-    nxt = dates.next_month_rows()
-    rows = np.flatnonzero(np.any(~np.isnan(gw), axis=1) & (nxt >= 0))
-    held, ret = gw[rows], gr[nxt[rows]]
+    lo, hi = dates.window_rows(1, 2)  # the row of month t+1, where there is one
+    rows = np.flatnonzero(np.any(~np.isnan(gw), axis=1) & (hi > lo))
+    held, ret = gw[rows], gr[lo[rows]]
     shares = _renormalized(held, ~np.isnan(held) & ~np.isnan(ret))
     untradable = np.all(np.isnan(shares), axis=1)
     values = np.where(untradable, np.nan, np.nansum(shares * ret, axis=1))
@@ -107,8 +106,7 @@ def spread_2x3(*legs: Panel) -> Panel:
     if len(legs) != 6:
         raise DataError("spread_2x3 takes six legs ordered SG, SN, SV, BG, BN, BV")
     legs = [leg.to_series() for leg in legs]
-    dates = functools.reduce(DateIndex.union, [leg.dates for leg in legs])
-    sg, _, sv, bg, _, bv = [reframe(leg.values, leg.dates, dates) for leg in legs]
+    dates, _, (sg, _, sv, bg, _, bv) = align_panels(*legs)
     values = 0.5 * (sv + bv) - 0.5 * (sg + bg)
     return Panel.derive("spread_2x3", {}, legs, dates, (SERIES_ASSET,), values)
 
@@ -116,8 +114,7 @@ def spread_2x3(*legs: Panel) -> Panel:
 def spread_topbottom(top: Panel, bottom: Panel) -> Panel:
     """Top leg minus bottom leg per date, both series (one-column panels)."""
     top, bottom = top.to_series(), bottom.to_series()
-    dates = top.dates.union(bottom.dates)
-    t, b = (reframe(leg.values, leg.dates, dates) for leg in (top, bottom))
+    dates, _, (t, b) = align_panels(top, bottom)
     return Panel.derive("spread_topbottom", {}, [top, bottom], dates, (SERIES_ASSET,), t - b)
 
 

@@ -1,4 +1,4 @@
-"""Time-series regressions, Fama-MacBeth cross-sections, and summary statistics.
+"""Time-series regressions, size-stratified alphas, coverage and summary statistics.
 
 Inference defaults to homoskedastic OLS standard errors; Newey-West errors
 with an explicit lag are available and collapse to White errors at lag zero.
@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .panel import DateIndex, Panel, month_ordinal, reframe
+from .panel import Panel, reframe
 from .transforms import align_panels
 
 
@@ -30,15 +30,6 @@ class RegressionResult:
     n_obs: int
     se_method: str
     factor_names: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class FMBResult:
-    mean_coeffs: tuple[float, ...]
-    t_stats: tuple[float, ...]
-    n_months: int
-    n_skipped: int = 0
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -147,63 +138,6 @@ def ts_regress(y: Panel, factors: Sequence[Panel],
     )
 
 
-def fama_macbeth(returns: Panel, characteristics: Sequence[Panel]) -> FMBResult:
-    """Monthly cross-sections of month t+1 returns on month t characteristics.
-
-    Reports the time-series mean of the monthly slopes and t = mean/(sd/sqrt(T))
-    per regressor (intercept excluded). Months with too few complete assets or
-    a collinear cross-section are skipped and counted.
-    """
-    if not characteristics:
-        raise DataError("fama_macbeth needs at least one characteristic")
-    panels = [returns] + list(characteristics)
-    dates, assets, grids = align_panels(*panels)
-    rets, chars = grids[0], grids[1:]
-    k = len(chars)
-
-    slopes = []
-    skipped = 0
-    nxt = dates.next_month_rows()
-    for i in np.flatnonzero(nxt >= 0):
-        y = rets[nxt[i]]
-        xcols = [c[i] for c in chars]
-        keep = ~np.isnan(y)
-        for c in xcols:
-            keep &= ~np.isnan(c)
-        if keep.sum() < k + 2:
-            skipped += 1
-            continue
-        X = np.column_stack([np.ones(keep.sum())] + [c[keep] for c in xcols])
-        if np.linalg.matrix_rank(X) < k + 1:
-            skipped += 1
-            continue
-        coef, *_ = np.linalg.lstsq(X, y[keep], rcond=None)
-        slopes.append(coef[1:])
-
-    if len(slopes) < 2:
-        raise DataError(f"fewer than 2 usable months ({len(slopes)})")
-    S = np.array(slopes)
-    T = S.shape[0]
-    means = S.mean(axis=0)
-    sds = S.std(axis=0, ddof=1)
-    flags = []
-    tstats = []
-    for j in range(k):
-        # exactly-linear panels leave only float fuzz in the slope dispersion
-        if sds[j] <= abs(means[j]) * 1e-12:
-            tstats.append(np.nan)
-            flags.append(f"regressor {j}: zero slope dispersion, t undefined")
-        else:
-            tstats.append(means[j] / (sds[j] / np.sqrt(T)))
-    return FMBResult(
-        mean_coeffs=tuple(float(m) for m in means),
-        t_stats=tuple(float(t) for t in tstats),
-        n_months=T,
-        n_skipped=skipped,
-        flags=tuple(flags),
-    )
-
-
 def summarize(s: Panel) -> SummaryStats:
     """Descriptive statistics of a monthly return series (a one-column panel).
 
@@ -298,54 +232,36 @@ class CoverageRow:
     n_months: int
 
 
-def decade_buckets(dates: DateIndex) -> list[tuple[str, str, str]]:
-    """Default calendar-decade subperiod buckets covering a date index."""
-    if not len(dates):
-        return []
-    first_year = int(dates[0][:4])
-    last_year = int(dates[-1][:4])
-    buckets = []
-    decade = first_year - first_year % 10
-    while decade <= last_year:
-        buckets.append((f"{decade}s", f"{decade:04d}-01", f"{decade + 9:04d}-12"))
-        decade += 10
-    return buckets
+def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each run of ``counts[i]`` consecutive values summed as numpy sums it alone:
+    the runs of one length are the rows of one block, summed at once."""
+    out, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
+    for m in np.unique(counts[counts > 0]).tolist():
+        runs = np.flatnonzero(counts == m)
+        out[runs] = values[starts[runs, None] + np.arange(m)].sum(axis=1)
+    return out
 
 
-def coverage_by_period(char: Panel, cap: Panel,
-                       buckets: Sequence[tuple[str, str, str]] | None = None) -> list[CoverageRow]:
-    """Per bucket: average security coverage and market-cap share of a characteristic.
+def coverage_by_period(char: Panel, cap: Panel) -> list[CoverageRow]:
+    """Per calendar decade: average security coverage and market-cap share of a characteristic.
 
     Security fraction counts assets with the characteristic among assets with
     market equity; cap share sums market equity over covered assets against
-    the total. Months with no cap-bearing assets are skipped.
+    the total. Months with no cap-bearing assets are skipped; a decade of none
+    reads 0.0 over 0 months. Each month, and each decade, is summed on its own.
     """
-    dates, assets, (gchar, gcap) = align_panels(char, cap)
-    if buckets is None:
-        buckets = decade_buckets(dates)
-
-    spans = [(label, month_ordinal(start), month_ordinal(end)) for label, start, end in buckets]
-    for (_, s1, e1), (_, s2, _) in zip(spans, spans[1:]):
-        if s2 <= e1:
-            raise DataError("coverage buckets overlap")
-
-    rows = []
-    for (label, start, end), (_, sp_start, sp_end) in zip(buckets, spans):
-        fracs, shares = [], []
-        for i, o in enumerate(dates.ordinals):
-            if not sp_start <= int(o) <= sp_end:
-                continue
-            cap_row, char_row = gcap[i], gchar[i]
-            has_cap = ~np.isnan(cap_row)
-            if not np.any(has_cap):
-                continue
-            covered = has_cap & ~np.isnan(char_row)
-            fracs.append(covered.sum() / has_cap.sum())
-            total_cap = float(cap_row[has_cap].sum())
-            shares.append(float(cap_row[covered].sum()) / total_cap if total_cap > 0 else 0.0)
-        if fracs:
-            rows.append(CoverageRow(label, start, end,
-                                    float(np.mean(fracs)), float(np.mean(shares)), len(fracs)))
-        else:
-            rows.append(CoverageRow(label, start, end, 0.0, 0.0, 0))
-    return rows
+    dates, _, (gchar, gcap) = align_panels(char, cap)
+    if not len(dates):
+        return []
+    has_cap = ~np.isnan(gcap)
+    covered = has_cap & ~np.isnan(gchar)
+    n_cap, n_covered = has_cap.sum(axis=1), covered.sum(axis=1)
+    total, held = _run_sums(gcap[has_cap], n_cap), _run_sums(gcap[covered], n_covered)
+    live = n_cap > 0
+    frac = n_covered[live] / n_cap[live]
+    share = np.divide(held, total, out=np.zeros_like(total), where=total > 0)[live]
+    decade = dates.ordinals // 120  # ordinal 120 * d is January of year 10 * d
+    n_months = np.bincount(decade[live] - decade[0], minlength=decade[-1] - decade[0] + 1)
+    means = [(_run_sums(x, n_months) / np.maximum(n_months, 1)).tolist() for x in (frac, share)]
+    return [CoverageRow(f"{10 * d}s", f"{10 * d:04d}-01", f"{10 * d + 9:04d}-12", f, s, n)
+            for d, n, f, s in zip(range(decade[0], decade[-1] + 1), n_months.tolist(), *means)]

@@ -306,11 +306,8 @@ def lag(a: Panel, k: int) -> Panel:
     """Value at date t becomes the value k calendar months earlier, else missing."""
     if k < 1:
         raise DataError("lag requires k >= 1")
-    ordinals = a.dates.ordinals
-    # past the index span every cell is missing whatever k is; the cap keeps
-    # the shifted periods on the calendar
-    shift = min(int(k), int(ordinals[-1] - ordinals[0]) + 1) if len(ordinals) else 0
-    out = reframe(a.values, DateIndex.from_ordinals(ordinals + shift), a.dates)
+    lo, hi = a.dates.window_rows(-k, 1 - k)  # the row of month t-k, where there is one
+    out = _padded(a.values)[np.where(hi > lo, lo, len(a.values))]
     return Panel.derive("lag", {"k": int(k)}, [a], a.dates, a.assets, out)
 
 
@@ -358,6 +355,7 @@ def rolling_stat(a: Panel, window: int, stat: str, min_obs: int = 1) -> Panel:
             vals = np.full_like(a.values, np.nan)
             for rows in window_steps(a.values, lo, hi):
                 vals = fold(vals, rows)
+            vals = vals + 0.0  # a zero is +0.0, whichever sign numpy's lane order kept
         else:
             vals = window_sums(a.values, lo, hi)
             if stat != "sum":

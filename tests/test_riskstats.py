@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from factorlab import riskstats as rs
 from factorlab.errors import DataError
-from factorlab.panel import SERIES_ASSET, DateIndex, Panel
+from factorlab.panel import SERIES_ASSET, DateIndex, Panel, month_ordinal
+from factorlab.transforms import align_panels
 
 from .conftest import make_panel
 from .oracles import ols_normal_equations
@@ -124,6 +127,73 @@ class TestTsRegress:
         assert res.se_method == "newey_west(3)"
 
 
+@dataclass(frozen=True)
+class FMBResult:
+    mean_coeffs: tuple[float, ...]
+    t_stats: tuple[float, ...]
+    n_months: int
+    n_skipped: int = 0
+    flags: tuple[str, ...] = ()
+
+
+def fama_macbeth(returns: Panel, characteristics) -> FMBResult:
+    """Monthly cross-sections of month t+1 returns on month t characteristics.
+
+    Reports the time-series mean of the monthly slopes and t = mean/(sd/sqrt(T))
+    per regressor (intercept excluded). Months with too few complete assets or
+    a collinear cross-section are skipped and counted. No tool or command
+    reaches it; it lives beside its tests.
+    """
+    if not characteristics:
+        raise DataError("fama_macbeth needs at least one characteristic")
+    panels = [returns] + list(characteristics)
+    dates, assets, grids = align_panels(*panels)
+    rets, chars = grids[0], grids[1:]
+    k = len(chars)
+
+    slopes = []
+    skipped = 0
+    lo, hi = dates.window_rows(1, 2)  # the row of month t+1, where there is one
+    for i in np.flatnonzero(hi > lo):
+        y = rets[lo[i]]
+        xcols = [c[i] for c in chars]
+        keep = ~np.isnan(y)
+        for c in xcols:
+            keep &= ~np.isnan(c)
+        if keep.sum() < k + 2:
+            skipped += 1
+            continue
+        X = np.column_stack([np.ones(keep.sum())] + [c[keep] for c in xcols])
+        if np.linalg.matrix_rank(X) < k + 1:
+            skipped += 1
+            continue
+        coef, *_ = np.linalg.lstsq(X, y[keep], rcond=None)
+        slopes.append(coef[1:])
+
+    if len(slopes) < 2:
+        raise DataError(f"fewer than 2 usable months ({len(slopes)})")
+    S = np.array(slopes)
+    T = S.shape[0]
+    means = S.mean(axis=0)
+    sds = S.std(axis=0, ddof=1)
+    flags = []
+    tstats = []
+    for j in range(k):
+        # exactly-linear panels leave only float fuzz in the slope dispersion
+        if sds[j] <= abs(means[j]) * 1e-12:
+            tstats.append(np.nan)
+            flags.append(f"regressor {j}: zero slope dispersion, t undefined")
+        else:
+            tstats.append(means[j] / (sds[j] / np.sqrt(T)))
+    return FMBResult(
+        mean_coeffs=tuple(float(m) for m in means),
+        t_stats=tuple(float(t) for t in tstats),
+        n_months=T,
+        n_skipped=skipped,
+        flags=tuple(flags),
+    )
+
+
 class TestFamaMacbeth:
     def test_noiseless_single_characteristic(self):
         periods = [f"2000-{m:02d}" for m in range(1, 7)]
@@ -134,7 +204,7 @@ class TestFamaMacbeth:
         ret_vals[1:] = 0.5 * char_vals[:-1]
         char = make_panel("CHAR", periods, assets, char_vals.tolist())
         ret = make_panel("RET", periods, assets, ret_vals.tolist())
-        res = rs.fama_macbeth(ret, [char])
+        res = fama_macbeth(ret, [char])
         assert res.mean_coeffs[0] == pytest.approx(0.5, abs=1e-12)
         assert np.isnan(res.t_stats[0])  # zero dispersion guard
         assert res.flags
@@ -150,7 +220,7 @@ class TestFamaMacbeth:
         gapped = ["2000-01", "2000-02", "2000-04", "2000-05", "2000-06", "2000-08",
                   "2000-09", "2000-10", "2000-11", "2001-01", "2001-02", "2001-03"]
         for periods, n_months in (([f"2000-{m:02d}" for m in range(1, 13)], 11), (gapped, 8)):
-            res = rs.fama_macbeth(
+            res = fama_macbeth(
                 make_panel("RET", periods, assets, ret.tolist()),
                 [make_panel("C1", periods, assets, c1.tolist()),
                  make_panel("C2", periods, assets, c2.tolist())],
@@ -167,7 +237,7 @@ class TestFamaMacbeth:
         char[0] = [1.0, 2.0, 3.0, 4.0]
         char[1] = [4.0, 3.0, 2.0, 1.0]
         ret = rng.normal(size=(6, 4))
-        res = rs.fama_macbeth(
+        res = fama_macbeth(
             make_panel("RET", periods, assets, ret.tolist()),
             [make_panel("CHAR", periods, assets, char.tolist())],
         )
@@ -183,7 +253,7 @@ class TestFamaMacbeth:
         ret = np.full((3, 6), np.nan)
         ret[1] = 1.7 * char[0] + 0.4
         ret[2] = 1.7 * char[1] + 0.4
-        res = rs.fama_macbeth(
+        res = fama_macbeth(
             make_panel("RET", periods, assets, ret.tolist()),
             [make_panel("CHAR", periods, assets, char.tolist())],
         )
@@ -195,7 +265,7 @@ class TestFamaMacbeth:
         char = np.random.default_rng(10).normal(size=(2, 4))
         ret = np.full((2, 4), np.nan)
         with pytest.raises(DataError, match="usable months"):
-            rs.fama_macbeth(
+            fama_macbeth(
                 make_panel("RET", periods, assets, ret.tolist()),
                 [make_panel("CHAR", periods, assets, char.tolist())],
             )
@@ -267,6 +337,40 @@ class TestSizeStratified:
         assert len(cells) == 6  # 3 bins x 2 models
 
 
+def coverage_loop(char, cap):
+    """The bucket x date loop ``coverage_by_period`` replaced, over calendar decades."""
+    dates, _, (gchar, gcap) = align_panels(char, cap)
+    if not len(dates):
+        return []
+    first_year, last_year = int(dates[0][:4]), int(dates[-1][:4])
+    rows = []
+    for decade in range(first_year - first_year % 10, last_year + 1, 10):
+        start, end = f"{decade:04d}-01", f"{decade + 9:04d}-12"
+        fracs, shares = [], []
+        for i, o in enumerate(dates.ordinals):
+            if not month_ordinal(start) <= int(o) <= month_ordinal(end):
+                continue
+            cap_row, char_row = gcap[i], gchar[i]
+            has_cap = ~np.isnan(cap_row)
+            if not np.any(has_cap):
+                continue
+            covered = has_cap & ~np.isnan(char_row)
+            fracs.append(covered.sum() / has_cap.sum())
+            total_cap = float(cap_row[has_cap].sum())
+            shares.append(float(cap_row[covered].sum()) / total_cap if total_cap > 0 else 0.0)
+        if fracs:
+            rows.append(rs.CoverageRow(f"{decade}s", start, end, float(np.mean(fracs)),
+                                       float(np.mean(shares)), len(fracs)))
+        else:
+            rows.append(rs.CoverageRow(f"{decade}s", start, end, 0.0, 0.0, 0))
+    return rows
+
+
+def coverage_bits(rows):
+    return [(r.bucket, r.start, r.end, r.n_months,
+             float.hex(r.security_fraction), float.hex(r.cap_share)) for r in rows]
+
+
 class TestCoverage:
     def test_security_fraction(self):
         periods = [f"2000-{m:02d}" for m in range(1, 4)]
@@ -274,7 +378,7 @@ class TestCoverage:
         cap = make_panel("CAP", periods, assets, np.ones((3, 4)).tolist())
         char_vals = [[1.0, 1.0, 1.0, None]] * 3
         char = make_panel("CHAR", periods, assets, char_vals)
-        rows = rs.coverage_by_period(char, cap, [("all", "2000-01", "2000-03")])
+        rows = rs.coverage_by_period(char, cap)
         assert rows[0].security_fraction == pytest.approx(0.75, abs=1e-12)
 
     def test_cap_share_of_largest_only(self):
@@ -282,26 +386,40 @@ class TestCoverage:
         assets = list("abcd")
         cap = make_panel("CAP", periods, assets, [[6.0, 2.0, 1.0, 1.0]])
         char = make_panel("CHAR", periods, assets, [[1.0, None, None, None]])
-        rows = rs.coverage_by_period(char, cap, [("all", "2000-01", "2000-01")])
+        rows = rs.coverage_by_period(char, cap)
         assert rows[0].cap_share == pytest.approx(0.6, abs=1e-12)
 
     def test_empty_characteristic(self):
         periods = ["2000-01"]
         cap = make_panel("CAP", periods, ["a"], [[5.0]])
         char = make_panel("CHAR", periods, ["a"], [[None]])
-        rows = rs.coverage_by_period(char, cap, [("all", "2000-01", "2000-01")])
+        rows = rs.coverage_by_period(char, cap)
         assert rows[0].security_fraction == 0.0
         assert rows[0].cap_share == 0.0
 
-    def test_overlapping_buckets_rejected(self):
-        periods = ["2000-01", "2000-02"]
-        cap = make_panel("CAP", periods, ["a"], [[1.0], [1.0]])
-        char = make_panel("CHAR", periods, ["a"], [[1.0], [1.0]])
-        with pytest.raises(DataError, match="overlap"):
-            rs.coverage_by_period(char, cap,
-                                  [("x", "2000-01", "2000-02"), ("y", "2000-02", "2000-03")])
+    def test_matches_the_loop_on_a_gapped_index(self):
+        """1,200 months over 1900-2019 with the 1960s absent, 150 assets (a month
+        sums more than 128 cells), months without cap and one of zero total cap."""
+        rng = np.random.default_rng(21)
+        months = np.arange(1900 * 12, 2020 * 12)
+        months = months[months // 120 != 196]
+        ordinals = np.sort(rng.choice(months, size=1200, replace=False))
+        shape = (1200, 150)
+        cap = rng.lognormal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        cap[rng.random(shape) < 0.1] = np.nan
+        cap[rng.random(1200) < 0.05] = np.nan  # months without cap
+        cap[7] = 0.0
+        char = rng.normal(size=shape)
+        char[rng.random(shape) < 0.3] = np.nan
+        dates, assets = DateIndex.from_ordinals(ordinals), [f"a{j}" for j in range(150)]
+        char = Panel.source("CHAR", dates, assets, char)
+        cap = Panel.source("CAP", dates, assets, cap)
+        got, expected = rs.coverage_by_period(char, cap), coverage_loop(char, cap)
+        assert coverage_bits(got) == coverage_bits(expected)
+        assert [r.bucket for r in got] == [f"{10 * d}s" for d in range(190, 202)]
+        assert got[6].n_months == 0 and all(r.n_months for r in got if r.bucket != "1960s")
+        assert sum(r.n_months for r in got) < 1200  # months without cap were skipped
 
-    def test_decade_buckets(self):
-        idx = DateIndex(["1995-01", "2003-06"])
-        buckets = rs.decade_buckets(idx)
-        assert [b[0] for b in buckets] == ["1990s", "2000s"]
+    def test_empty_index(self):
+        empty = Panel.source("CAP", [], ["a"], np.zeros((0, 1)))
+        assert rs.coverage_by_period(empty, empty) == coverage_loop(empty, empty) == []

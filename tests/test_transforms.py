@@ -436,6 +436,8 @@ def _ref_rolling_stat(a, window, stat, min_obs):
         with np.errstate(invalid="ignore"):
             vals = (_ref_nan_std(block, count) if stat == "std"
                     else _ref_nan_reduce(block, reduce[stat], count))
+        if stat in ("min", "max"):
+            vals = vals + 0.0  # a zero is +0.0, whatever the sign numpy kept
         ok = count >= min_obs
         out[i, ok] = vals[ok]
     return out
@@ -473,6 +475,16 @@ def _ref_rolling_compound(r, window, skip, min_obs):
     return out
 
 
+def _ref_lag(a, k):
+    """Each row takes the row of month o - k, looked up in a dict, else missing."""
+    out = np.full_like(a.values, np.nan)
+    by_month = month_rows(a.dates)
+    for i, o in enumerate(a.dates.ordinals.tolist()):
+        if o - k in by_month:
+            out[i] = a.values[by_month[o - k]]
+    return out
+
+
 def _ref_annual_to_monthly(a, placement_month, offset, valid_months):
     out = np.full_like(a.values, np.nan)
     by_month = month_rows(a.dates)
@@ -505,6 +517,14 @@ HUGE = (10 ** 9, 2 ** 70)
 
 
 class TestMonthWindowsMatchPerMonthLookup:
+    @pytest.mark.parametrize("k", (1, 2, 13, "span - 1", "span", "span + 1", HUGE[1]))
+    def test_lag(self, gapped, k):
+        span = _span(gapped)
+        k = {"span - 1": span - 1, "span": span, "span + 1": span + 1}.get(k, k)
+        expected = _ref_lag(gapped, k)
+        assert_same_bits(tr.lag(gapped, k).values, expected)
+        assert np.isnan(expected).all() == (k >= span)
+
     @pytest.mark.parametrize("stat", tr.ROLLING_STATS)
     @pytest.mark.parametrize("window", (1, 2, 5, 12, *HUGE))
     def test_rolling_stat(self, gapped, window, stat):
@@ -808,15 +828,6 @@ def _window_holds(a, window, negative):
                              window, "max", 1) == 1.0
 
 
-def assert_window_stat(got, expected, ties):
-    """Bit-equal, except that a zero min/max of a window holding both -0.0 and
-    +0.0 takes its sign from numpy's SIMD lane order, in the loop as in the
-    kernel; those cells are value-equal."""
-    ties = ties & (expected == 0)
-    assert_same_bits(np.where(ties, 0.0, got), np.where(ties, 0.0, expected))
-    assert np.all(got[ties] == 0)
-
-
 def test_month_window_case_has_the_edge_cells(windowed, zero_ties):
     assert np.diff(windowed.dates.ordinals).max() > 1  # gaps
     assert np.isnan(_ref_rolling_stat(windowed, 36, "sum", 1)).any()  # only missing cells
@@ -833,13 +844,19 @@ class TestMonthWindowKernelMatchesTheLoops:
         *((stat, 36) for stat in tr.ROLLING_STATS),
         *((stat, 300) for stat in ("mean", "std", "sum")),  # > 128 rows: split sums
     ])
-    def test_rolling_stat(self, windowed, zero_ties, stat, window, min_obs):
+    def test_rolling_stat(self, windowed, stat, window, min_obs):
         expected = _ref_rolling_stat(windowed, min(window, _span(windowed)), stat, min_obs)
-        got = tr.rolling_stat(windowed, window, stat, min_obs).values
-        if stat in ("min", "max"):
-            assert_window_stat(got, expected, zero_ties)
-        else:
-            assert_same_bits(got, expected)
+        assert_same_bits(tr.rolling_stat(windowed, window, stat, min_obs).values, expected)
+
+    @pytest.mark.parametrize("stat", ("min", "max"))
+    def test_zero_min_max_is_positive(self, stat):
+        """A window of -0.0 and +0.0 cells gives +0.0, whatever numpy's lane order."""
+        a = Panel.source("Z", DateIndex.range("2000-01", 10), ["a"],
+                         np.array([0.0] + [-0.0] * 9).reshape(-1, 1))
+        for window in (1, 2, 3, 8, 10):
+            got = tr.rolling_stat(a, window, stat, 1).values
+            assert_same_bits(got, _ref_rolling_stat(a, window, stat, 1))
+            assert np.all(got == 0) and not np.signbit(got).any(), window
 
     @pytest.mark.parametrize("periods", [["1990-12"], []], ids=["one_row", "empty"])
     def test_tiny_indexes(self, periods):
