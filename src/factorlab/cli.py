@@ -1,9 +1,13 @@
 """Command-line entry point: gen, ingest, run, report, graph, simk, plot, serve.
 
-Exit codes: 0 success, 1 usage, 2 validation (bad recipes, unknown panels,
-malformed inputs), 3 runtime (aborted steps, I/O failures). Only the
-generator consumes randomness, and it honors --seed; everything else is
-deterministic by construction.
+Exit codes: 0 success, 1 usage, 2 validation, 3 runtime. Usage errors (bad
+options, ``--param``/``--model`` syntax, an invalid generator config, a Sim@k
+``k`` outside the attempts) exit 1 where they are found. Every other failure
+is an exception that ``main`` alone maps to a code: ``StepExecutionError``
+(an aborted recipe step) and ``OSError`` (I/O) exit 3, any other
+``EngineError`` (bad recipes, unknown panels, malformed inputs, unalignable
+series) exits 2. Only the generator consumes randomness, and it honors
+--seed; everything else is deterministic by construction.
 """
 
 from __future__ import annotations
@@ -111,6 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command bodies -------------------------------------------------------------
 
 
+def _write(args, name: str, text: str) -> None:
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
+    print(out / name)
+
+
 def cmd_gen(args) -> int:
     try:
         config = synthetic.GeneratorConfig(
@@ -129,11 +140,7 @@ def cmd_gen(args) -> int:
         config.validate()
     except EngineError as exc:
         _fail(EXIT_USAGE, str(exc))
-    try:
-        paths = synthetic.generate_synthetic(config, args.out_dir)
-    except OSError as exc:
-        _fail(EXIT_RUNTIME, str(exc))
-    for path in paths:
+    for path in synthetic.generate_synthetic(config, args.out_dir):
         print(path)
     return EXIT_OK
 
@@ -146,15 +153,10 @@ def _ingest_sources(args):
 
 
 def cmd_ingest(args) -> int:
-    try:
-        result = _ingest_sources(args)
-        for name in sorted(result.panels):
-            for path in panelio.save(result.panels[name], args.out_dir):
-                print(path)
-    except EngineError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        _fail(EXIT_RUNTIME, str(exc))
+    result = _ingest_sources(args)
+    for name in sorted(result.panels):
+        for path in panelio.save(result.panels[name], args.out_dir):
+            print(path)
     print(f"rows={result.n_rows} removed={json.dumps(result.removed, sort_keys=True)} "
           f"skipped={result.skipped_rows}")
     return EXIT_OK
@@ -174,39 +176,21 @@ def _parse_overrides(pairs) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        spec = pipeline.load_recipe(args.recipe, overrides=_parse_overrides(args.param))
-    except EngineError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
+    spec = pipeline.load_recipe(args.recipe, overrides=_parse_overrides(args.param))
     if args.dry_run:
         print(f"recipe {spec.name}: {len(spec.steps)} steps, sources {list(spec.sources)}")
         for i, step in enumerate(spec.steps):
             print(f"  {i:3d}  {step.op}({', '.join(step.inputs)}) -> {step.output}")
         return EXIT_OK
 
-    try:
-        ingested = _ingest_sources(args)
-    except EngineError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    missing = [s for s in spec.sources if s not in ingested.panels]
-    if missing:
-        _fail(EXIT_VALIDATION, f"recipe sources missing from ingested data: {missing}")
-
+    ingested = _ingest_sources(args)
     registry = PanelRegistry()
-    sources = {name: ingested.panels[name] for name in spec.sources}
     try:
-        registry, result = pipeline.run_recipe(spec, sources, registry=registry)
+        registry, result = pipeline.run_recipe(spec, ingested.panels, registry=registry)
     except StepExecutionError as exc:
         _save_run_outputs(registry, spec.sources, exc.outputs, args.out_dir)
-        _fail(EXIT_RUNTIME, str(exc))
-    except EngineError as exc:
-        _fail(EXIT_RUNTIME, str(exc))
-
-    try:
-        _save_run_outputs(registry, spec.sources, result.outputs, args.out_dir)
-    except OSError as exc:
-        _fail(EXIT_RUNTIME, str(exc))
+        raise
+    _save_run_outputs(registry, spec.sources, result.outputs, args.out_dir)
 
     run_log = {
         "recipe": spec.name,
@@ -217,9 +201,7 @@ def cmd_run(args) -> int:
         "flags": result.flags,
         "ingest_removed": ingested.removed,
     }
-    log_path = Path(args.out_dir) / "run_log.json"
-    log_path.write_text(json.dumps(run_log, sort_keys=True, indent=2) + "\n")
-    print(log_path)
+    _write(args, "run_log.json", json.dumps(run_log, sort_keys=True, indent=2) + "\n")
     for name, panel_id in result.outputs.items():
         print(f"{name} -> {panel_id}")
     return EXIT_OK
@@ -234,10 +216,7 @@ def _save_run_outputs(registry, sources, outputs, out_dir):
 
 
 def _load_data_registry(args):
-    try:
-        registry = panelio.load_registry(args.data_dir)
-    except EngineError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    registry = panelio.load_registry(args.data_dir)
     if not len(registry):
         _fail(EXIT_VALIDATION, f"no saved panels found in {args.data_dir}")
     return registry
@@ -255,52 +234,28 @@ def cmd_report(args) -> int:
         models[name] = [i for i in ids.split(",") if i]
 
     size_bins = args.size_bins
-    try:
-        if not size_bins and args.cap in registry:
-            universe = registry.get("NYSE") if "NYSE" in registry else None
-            bins = transforms.quantile_bins(registry.get(args.cap), SIZE_TERCILES,
-                                            universe=universe)
-            size_bins = registry.register(bins, name="SIZE_TERCILES_AUTO")
-        kwargs = report.resolve_arguments(
-            registry, args.spread, args.characteristic, args.cap, size_bins, models,
-            stratify_recipe=args.stratify_recipe, stratify_output=args.stratify_output,
-            weights=args.weights,
-        )
-    except EngineError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    try:
-        doc = report.build_report(**kwargs)
-    except EngineError as exc:
-        _fail(EXIT_RUNTIME, str(exc))
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    md_path = out / f"report_{args.spread}.md"
-    json_path = out / f"report_{args.spread}.json"
-    md_path.write_text(report.render_markdown(doc))
-    json_path.write_text(report.render_json(doc))
-    print(md_path)
-    print(json_path)
+    if not size_bins and args.cap in registry:
+        universe = registry.get("NYSE") if "NYSE" in registry else None
+        bins = transforms.quantile_bins(registry.get(args.cap), SIZE_TERCILES,
+                                        universe=universe)
+        size_bins = registry.register(bins, name="SIZE_TERCILES_AUTO")
+    doc = report.build_report(**report.resolve_arguments(
+        registry, args.spread, args.characteristic, args.cap, size_bins, models,
+        stratify_recipe=args.stratify_recipe, stratify_output=args.stratify_output,
+        weights=args.weights,
+    ))
+    _write(args, f"report_{args.spread}.md", report.render_markdown(doc))
+    _write(args, f"report_{args.spread}.json", report.render_json(doc))
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
-    registry = _load_data_registry(args)
-    if args.panel_id not in registry:
-        _fail(EXIT_VALIDATION, f"panel {args.panel_id!r} not found in {args.data_dir}")
-    try:
-        doc, dot = panelio.export_graph(registry, args.panel_id)
-    except EngineError as exc:  # an input named by a provenance record is not saved
-        _fail(EXIT_VALIDATION, str(exc))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    doc, dot = panelio.export_graph(_load_data_registry(args), args.panel_id)
     if args.format == "dot":
-        path = out / f"{args.panel_id}.dot"
-        path.write_text(dot)
+        _write(args, f"{args.panel_id}.dot", dot)
     else:
-        path = out / f"{args.panel_id}.graph.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    print(path)
+        _write(args, f"{args.panel_id}.graph.json",
+               json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -314,40 +269,22 @@ def cmd_simk(args) -> int:
     except EngineError as exc:
         if "outside 1.." in str(exc):
             _fail(EXIT_USAGE, str(exc))
-        _fail(EXIT_VALIDATION, str(exc))
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "simk.json"
-    json_path.write_text(json.dumps(table, sort_keys=True, indent=2) + "\n")
+        raise
     sys.stdout.write(evalharness.format_simk_table(table))
-    print(json_path)
+    _write(args, "simk.json", json.dumps(table, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_plot(args) -> int:
     registry = _load_data_registry(args)
-    for pid in (args.panel_id, args.benchmark_id):
-        if pid not in registry:
-            _fail(EXIT_VALIDATION, f"panel {pid!r} not found in {args.data_dir}")
-    try:
-        panel, benchmark = registry.get(args.panel_id), registry.get(args.benchmark_id)
-    except EngineError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    try:
-        y, x = evalharness.align(panel, benchmark)
-    except EngineError as exc:
-        _fail(EXIT_RUNTIME, str(exc))
+    y, x = evalharness.align(registry.get(args.panel_id), registry.get(args.benchmark_id))
     svg = plotting.scatter_svg(
         x, y,
         x_label=f"benchmark: {args.benchmark_id}",
         y_label=f"factor: {args.panel_id}",
         title=f"{args.panel_id} vs {args.benchmark_id}",
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{args.panel_id}_vs_{args.benchmark_id}.svg"
-    path.write_text(svg)
-    print(path)
+    _write(args, f"{args.panel_id}_vs_{args.benchmark_id}.svg", svg)
     return EXIT_OK
 
 
@@ -372,7 +309,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=args.log_level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except (StepExecutionError, OSError) as exc:  # before EngineError: it is one
+        _fail(EXIT_RUNTIME, str(exc))
+    except EngineError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .panel import Panel, reframe
-from .transforms import align_panels
+from .transforms import align_panels, run_sums
 
 
 @dataclass(frozen=True)
@@ -232,16 +232,6 @@ class CoverageRow:
     n_months: int
 
 
-def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each run of ``counts[i]`` consecutive values summed as numpy sums it alone:
-    the runs of one length are the rows of one block, summed at once."""
-    out, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
-    for m in np.unique(counts[counts > 0]).tolist():
-        runs = np.flatnonzero(counts == m)
-        out[runs] = values[starts[runs, None] + np.arange(m)].sum(axis=1)
-    return out
-
-
 def coverage_by_period(char: Panel, cap: Panel) -> list[CoverageRow]:
     """Per calendar decade: average security coverage and market-cap share of a characteristic.
 
@@ -256,12 +246,12 @@ def coverage_by_period(char: Panel, cap: Panel) -> list[CoverageRow]:
     has_cap = ~np.isnan(gcap)
     covered = has_cap & ~np.isnan(gchar)
     n_cap, n_covered = has_cap.sum(axis=1), covered.sum(axis=1)
-    total, held = _run_sums(gcap[has_cap], n_cap), _run_sums(gcap[covered], n_covered)
+    total, held = run_sums(gcap[has_cap], n_cap), run_sums(gcap[covered], n_covered)
     live = n_cap > 0
     frac = n_covered[live] / n_cap[live]
     share = np.divide(held, total, out=np.zeros_like(total), where=total > 0)[live]
     decade = dates.ordinals // 120  # ordinal 120 * d is January of year 10 * d
     n_months = np.bincount(decade[live] - decade[0], minlength=decade[-1] - decade[0] + 1)
-    means = [(_run_sums(x, n_months) / np.maximum(n_months, 1)).tolist() for x in (frac, share)]
+    means = [(run_sums(x, n_months) / np.maximum(n_months, 1)).tolist() for x in (frac, share)]
     return [CoverageRow(f"{10 * d}s", f"{10 * d:04d}-01", f"{10 * d + 9:04d}-12", f, s, n)
             for d, n, f, s in zip(range(decade[0], decade[-1] + 1), n_months.tolist(), *means)]

@@ -195,24 +195,19 @@ def standardize(a: Panel, universe: Panel | None = None,
     """Per date, subtract the universe mean and divide by its sample (n-1) sd.
 
     Applied to all assets. Dates with fewer than two universe values or zero
-    standard deviation come out entirely missing and are flagged.
+    standard deviation come out entirely missing and are flagged (the first
+    kind, then the second, each in date order). Each date's sums are numpy's
+    sums of its sample alone, as ``np.mean`` and ``np.std`` compute them.
     """
-    dates, assets = a.dates, a.assets
+    dates, assets, grid = a.dates, a.assets, a.values
     in_sample = _sample_mask(a, universe)
-    out = np.full_like(a.values, np.nan)
-    for i in range(len(dates)):
-        row = a.values[i]
-        sample = row[in_sample[i]]
-        if sample.size < 2:
-            if flags is not None:
-                flags.append(f"standardize: {dates[i]}: fewer than 2 universe values")
-            continue
-        sd = float(np.std(sample, ddof=1))
-        if sd == 0.0:
-            if flags is not None:
-                flags.append(f"standardize: {dates[i]}: zero standard deviation")
-            continue
-        out[i] = (row - float(np.mean(sample))) / sd
+    n = in_sample.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = grid - (run_sums(grid[in_sample], n) / n)[:, None]
+        sd = np.sqrt(run_sums(dev[in_sample] ** 2, n) / (n - 1))
+        out = np.where(((n >= 2) & (sd != 0.0))[:, None], dev / sd[:, None], np.nan)
+    flag_rows(flags, "standardize", dates, n < 2, "fewer than 2 universe values")
+    flag_rows(flags, "standardize", dates, (n >= 2) & (sd == 0.0), "zero standard deviation")
     inputs = [a] + ([universe] if universe is not None else [])
     return Panel.derive("standardize", {}, inputs, dates, assets, out)
 
@@ -436,6 +431,16 @@ def window_sums(grid: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         return total
 
     return pairwise(np.arange(len(lo)), lo, hi - lo)
+
+
+def run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each run of ``counts[i]`` consecutive values summed as numpy sums it alone:
+    the runs of one length are the rows of one block, summed at once."""
+    out, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
+    for m in np.unique(counts[counts > 0]).tolist():
+        runs = np.flatnonzero(counts == m)
+        out[runs] = values[starts[runs, None] + np.arange(m)].sum(axis=1)
+    return out
 
 
 def ewma(a: Panel, alpha: float, min_periods: int = 1) -> Panel:

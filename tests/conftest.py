@@ -8,7 +8,7 @@ import pytest
 
 from factorlab import panel as panelio
 from factorlab.ingest import ingest_dataset
-from factorlab.panel import DateIndex, Panel, reframe
+from factorlab.panel import SERIES_ASSET, DateIndex, Panel, reframe
 from factorlab.synthetic import GeneratorConfig, generate_synthetic
 
 # the oracle-equivalence dataset: seed 42, 50 assets, 120 months, 40% NYSE,
@@ -46,6 +46,15 @@ def value_equal(a: Panel, b: Panel) -> bool:
 def cell(p: Panel, period: str, asset: str) -> float:
     """The value of one (period, asset) cell; NaN when the frame lacks it."""
     return float(reframe(p.values, p.dates, DateIndex([period]), p.assets, (asset,))[0, 0])
+
+
+def nonmissing_cells(p: Panel) -> dict:
+    """A panel's non-missing values keyed as the oracles key them: by month
+    ordinal for a series, by (month ordinal, asset) otherwise."""
+    rows, cols = np.nonzero(~np.isnan(p.values))
+    months = p.dates.ordinals[rows].tolist()
+    keys = months if p.assets == (SERIES_ASSET,) else zip(months, (p.assets[j] for j in cols))
+    return dict(zip(keys, p.values[rows, cols].tolist()))
 
 
 def month_rows(dates: DateIndex) -> dict[int, int]:

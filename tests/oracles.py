@@ -292,6 +292,47 @@ def jkp_bruteforce(monthly_path) -> dict[int, float]:
     return spread
 
 
+# -- EWMA volatility and value-weighted market brute force ------------------------
+
+
+def ewma_vol_bruteforce(monthly_path, alpha: float = 0.06,
+                        min_periods: int = 12) -> dict[tuple[int, str], float]:
+    """EWMA of squared returns over each asset's months with a return:
+    {(month, asset): value}. s_1 = r_1**2, s_t = (1 - alpha) * s_{t-1} +
+    alpha * r_t**2, reported from the ``min_periods``-th return on."""
+    data = read_monthly(monthly_path)
+    ret = data["ret"]
+    out = {}
+    for a in data["assets"]:
+        state, seen = None, 0
+        for m in data["months"]:
+            if (m, a) not in ret:
+                continue
+            x = ret[(m, a)] * ret[(m, a)]
+            state = x if state is None else (1.0 - alpha) * state + alpha * x
+            seen += 1
+            if seen >= min_periods:
+                out[(m, a)] = state
+    return out
+
+
+def market_vw_bruteforce(monthly_path) -> dict[int, float]:
+    """Cap-weighted return of every asset with a market cap: {month: return}."""
+    data = read_monthly(monthly_path)
+    cap = data["cap"]
+    member = {key: True for key in cap}
+    legs = value_weighted_leg_returns(data["months"], data["assets"], member, cap, data["ret"])
+    return {m: r for m, r in legs.items() if r is not None}
+
+
+def recipe_oracle(recipe: str, monthly_path, annual_path) -> dict:
+    """The brute-force values of a shipped recipe's last output."""
+    if recipe == "hml":
+        return hml_bruteforce(monthly_path, annual_path)
+    return {"jkp_momentum": jkp_bruteforce, "ewma_vol": ewma_vol_bruteforce,
+            "market_vw": market_vw_bruteforce}[recipe](monthly_path)
+
+
 # -- regression oracle ----------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from factorlab import cli
+from factorlab import panel as panelio
+from factorlab.panel import Panel
 
 from .conftest import count_reads
 
@@ -254,3 +257,85 @@ def test_a_corrupt_panel_the_command_reads_is_a_validation_error(workdir, tmp_pa
     assert exc.value.code == cli.EXIT_VALIDATION
     assert f"{saved / 'HML_spread.csv'} line 2: bad number 'oops'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def only_error_line(err: str) -> str:
+    """The one ``error:`` line a failing command writes to stderr."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    BENCH_REPORT,
+    ["graph", "HML_spread"],
+    ["plot", "HML_spread", "MKT"],
+    ["simk", "MANIFEST", "--k", "1"],
+    ["run", "hml"],
+], ids=["report", "graph", "plot", "simk", "run"])
+def test_an_out_dir_that_is_a_file_is_a_runtime_error(workdir, tmp_path, capsys, argv):
+    directory, _ = workdir
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tasks": [{
+        "task_id": "hml", "reference": str(directory / "HML_spread.csv"),
+        "attempts": [str(directory / "MKT.csv")],
+    }]}))
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n")
+    argv = [str(manifest) if arg == "MANIFEST" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(directory), "--out-dir", str(out), *argv])
+    assert exc.value.code == cli.EXIT_RUNTIME
+    assert str(out) in only_error_line(capsys.readouterr().err)
+    assert out.read_text() == "a file, not a directory\n"
+
+
+def test_plot_of_series_with_no_common_month_is_a_validation_error(tmp_path, capsys):
+    panelio.save(Panel.source("EARLY", ["1990-01", "1990-02"], ["value"], [[0.1], [0.2]]),
+                 tmp_path)
+    panelio.save(Panel.source("LATE", ["2000-01"], ["value"], [[0.3]]), tmp_path)
+    assert exit_code(tmp_path, "plot", "EARLY", "LATE") == cli.EXIT_VALIDATION
+    assert only_error_line(capsys.readouterr().err) == (
+        "error: no overlapping dates/assets to compare")
+    assert not list(tmp_path.glob("*.svg"))
+
+
+def test_a_recipe_source_that_was_not_ingested_is_a_validation_error(workdir, tmp_path,
+                                                                    capsys):
+    directory, _ = workdir
+    recipe = tmp_path / "unknown_source.json"
+    recipe.write_text(json.dumps({"name": "unknown_source", "params": {}, "sources": ["NOPE"],
+                                  "steps": [{"op": "lag", "args": {"k": 1}, "inputs": ["NOPE"],
+                                             "output": "NOPE_LAG"}]}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(directory), "--out-dir", str(out), "run", str(recipe)])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert only_error_line(capsys.readouterr().err) == (
+        "error: recipe source 'NOPE' not provided")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["graph", "NOPE"], ["plot", "NOPE", "MKT"],
+                                  ["plot", "HML_spread", "NOPE"]],
+                         ids=["graph", "plot", "plot_benchmark"])
+def test_an_unknown_panel_id_is_a_validation_error(workdir, tmp_path, capsys, argv):
+    directory, _ = workdir
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(directory), "--out-dir", str(out), *argv])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert only_error_line(capsys.readouterr().err) == "error: unknown panel id 'NOPE'"
+    assert not out.exists()
+
+
+def test_serve_turns_an_escaping_tool_error_into_one_error_line(workdir, monkeypatch, capsys):
+    directory, _ = workdir
+    call = {"jsonrpc": "2.0", "method": "tools/call", "params": {
+        "name": "load_source", "arguments": {"directory": str(directory), "panel_id": "MKT"}}}
+    lines = [json.dumps({**call, "id": i}) + "\n" for i in (1, 2)]
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+    assert exit_code(directory, "serve") == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert json.loads(out)["id"] == 1
+    assert only_error_line(err) == "error: duplicate panel id 'MKT'"

@@ -10,30 +10,25 @@ from factorlab.errors import DataError, StepExecutionError
 from factorlab.panel import PanelRegistry
 
 from . import oracles
-from .conftest import make_panel
+from .conftest import make_panel, nonmissing_cells
 
 TOLERANCE = 1e-12
 
 
-def _spread(recipe: str, output: str, sources) -> dict[int, float]:
-    spec = pipeline.load_recipe(recipe)
-    registry, result = pipeline.run_recipe(spec, {s: sources[s] for s in spec.sources})
-    panel = registry.get(result.outputs[output])
-    return {int(o): float(v) for o, v in zip(panel.dates.ordinals, panel.values[:, 0])
-            if not np.isnan(v)}
-
-
-@pytest.mark.parametrize("recipe, output, n_months", [
+@pytest.mark.parametrize("recipe, output, n_values", [
     ("hml", "HML_spread", 102),
     ("jkp_momentum", "MOM_spread", 107),
+    ("ewma_vol", "EWMA_VOL", 5328),
+    ("market_vw", "MKT", 119),
 ])
-def test_recipe_matches_oracle(recipe, output, n_months, source_panels, synthetic_dir):
-    monthly, annual = synthetic_dir / "monthly.csv", synthetic_dir / "annual.csv"
-    oracle = (oracles.hml_bruteforce(monthly, annual) if recipe == "hml"
-              else oracles.jkp_bruteforce(monthly))
-    produced = _spread(recipe, output, source_panels)
+def test_recipe_matches_oracle(recipe, output, n_values, source_panels, synthetic_dir):
+    oracle = oracles.recipe_oracle(recipe, synthetic_dir / "monthly.csv",
+                                   synthetic_dir / "annual.csv")
+    spec = pipeline.load_recipe(recipe)
+    registry, result = pipeline.run_recipe(spec, {s: source_panels[s] for s in spec.sources})
+    produced = nonmissing_cells(registry.get(result.outputs[output]))
     assert set(produced) == set(oracle)
-    assert len(produced) == n_months
+    assert len(produced) == n_values
     assert max(abs(produced[m] - oracle[m]) for m in oracle) <= TOLERANCE
 
 

@@ -24,6 +24,7 @@ from factorlab.toolserver import (
 )
 
 from . import oracles
+from .conftest import nonmissing_cells
 from .test_pipeline import TOLERANCE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,15 +66,15 @@ def oracle_server(source_panels, tmp_path_factory):
 @pytest.mark.parametrize("recipe, output", [
     ("hml", "HML_spread"),
     ("jkp_momentum", "MOM_spread"),
+    ("ewma_vol", "EWMA_VOL"),
+    ("market_vw", "MKT"),
 ])
 def test_chained_calls_match_oracle_and_pipeline(recipe, output, oracle_server,
                                                  source_panels, synthetic_dir):
-    monthly, annual = synthetic_dir / "monthly.csv", synthetic_dir / "annual.csv"
-    oracle = (oracles.hml_bruteforce(monthly, annual) if recipe == "hml"
-              else oracles.jkp_bruteforce(monthly))
+    oracle = oracles.recipe_oracle(recipe, synthetic_dir / "monthly.csv",
+                                   synthetic_dir / "annual.csv")
     served = oracle_server.registry.get(replay(oracle_server, recipe)[output])
-    produced = {int(o): float(v) for o, v in zip(served.dates.ordinals, served.values[:, 0])
-                if not np.isnan(v)}
+    produced = nonmissing_cells(served)
     assert set(produced) == set(oracle)
     assert max(abs(produced[m] - oracle[m]) for m in oracle) <= TOLERANCE
 

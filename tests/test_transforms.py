@@ -782,6 +782,44 @@ def test_signed_zeros_are_value_equal_to_the_loops():
                                   np.column_stack([reference_cumsum(c) for c in a.values.T]))
 
 
+def reference_standardize(a, in_sample, flags):
+    """The per-date loop ``standardize`` replaced."""
+    out = np.full_like(a.values, np.nan)
+    for i in range(len(a.dates)):
+        row = a.values[i]
+        sample = row[in_sample[i]]
+        if sample.size < 2:
+            flags.append(f"standardize: {a.dates[i]}: fewer than 2 universe values")
+            continue
+        sd = float(np.std(sample, ddof=1))
+        if sd == 0.0:
+            flags.append(f"standardize: {a.dates[i]}: zero standard deviation")
+            continue
+        out[i] = (row - float(np.mean(sample))) / sd
+    return out
+
+
+@pytest.mark.parametrize("shape", [(120, 50), (1200, 100), (72, 500), (240, 1)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("missing", [0.01, 0.3, 0.9, 0.99])
+@pytest.mark.parametrize("with_universe", [True, False], ids=["universe", "all"])
+def test_standardize_matches_the_loop(shape, missing, with_universe):
+    """Bit for bit, on values far from zero, with constant and near-empty
+    rows; the flags come out grouped by message, each group in date order."""
+    n_dates, n_assets = shape
+    rng = np.random.default_rng(n_dates * n_assets + int(missing * 100))
+    values = rng.normal(rng.normal(scale=1e3), rng.uniform(1e-3, 1e2), size=shape)
+    values[rng.integers(n_dates, size=4)] = rng.choice([2.5, -0.0, 1e-300])
+    values[rng.random(shape) < missing] = np.nan
+    a, universe, in_uni = kernel_case(3, n_dates, n_assets, values)
+    in_sample = (in_uni if with_universe else True) & ~np.isnan(values)
+    flags, expected_flags = [], []
+    out = tr.standardize(a, universe if with_universe else None, flags)
+    assert_same_bits(out.values, reference_standardize(a, in_sample, expected_flags))
+    assert flags == ([f for f in expected_flags if f.endswith("values")]
+                     + [f for f in expected_flags if f.endswith("deviation")])
+
+
 def test_a_panel_without_assets_has_an_empty_universe_on_every_date():
     a = Panel.source("X", ["2000-01", "2000-02"], (), np.empty((2, 0)))
     flags = []
