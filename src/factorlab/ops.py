@@ -4,6 +4,8 @@ The pipeline interpreter validates recipe steps against these specs, and the
 tool server derives its callable-tool descriptors from the same table, so
 static validation and the wire schema cannot drift apart. Both run a step
 through ``apply_step``, so they compute, check and record it the same way.
+``validate_args`` is the one check of an operator's arguments: the functions
+trust what it returns and check only the data.
 The tool server declares and checks its non-operator tools with the same
 ``OperatorSpec``/``validate_args`` (no module, no inputs); they stay out of
 ``OPERATORS``, so recipes cannot name them.
@@ -154,7 +156,7 @@ def _check_range(p: ParamSpec, value):
 def validate_args(spec: OperatorSpec, args: dict, n_inputs: int) -> dict:
     """Type-check and normalize an argument map; raises ArgError naming the field."""
     if not isinstance(args, dict):
-        raise ArgError("args must be an object")
+        raise ArgError("args must be an object", "args")
     known = {p.name for p in spec.params}
     for key in args:
         if key not in known:
@@ -265,18 +267,15 @@ def _compare_check(args, n_inputs):
 
 
 def _rolling_compound_check(args, n_inputs):
-    window, skip = args["window"], args["skip"]
+    window, skip, min_obs = args["window"], args["skip"], args["min_obs"]
     if not window > skip:
         raise ArgError(f"window {window} must exceed skip {skip}", "window")
-    span = window - skip
-    if args["min_obs"] is None:
-        args["min_obs"] = span
-    if not 1 <= args["min_obs"] <= span:
-        raise ArgError(f"min_obs must lie in 1..{span}", "min_obs")
+    if min_obs is not None and min_obs > window - skip:
+        raise ArgError(f"min_obs must lie in 1..{window - skip}", "min_obs")
 
 
 def _rolling_stat_check(args, n_inputs):
-    if not 1 <= args["min_obs"] <= args["window"]:
+    if args["min_obs"] > args["window"]:
         raise ArgError("min_obs must lie in 1..window", "min_obs")
 
 

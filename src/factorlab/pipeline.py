@@ -83,6 +83,9 @@ def parse_and_validate(recipe, overrides: Mapping | None = None) -> PipelineSpec
         doc = recipe
     if not isinstance(doc, dict):
         raise RecipeError("recipe must be a JSON object")
+    for key in doc:
+        if key not in ("name", "params", "sources", "steps"):
+            raise RecipeError(f"unknown recipe key {key!r}", field=key)
 
     name = doc.get("name")
     if not isinstance(name, str) or not name:
@@ -108,6 +111,9 @@ def parse_and_validate(recipe, overrides: Mapping | None = None) -> PipelineSpec
     for i, raw in enumerate(raw_steps):
         if not isinstance(raw, dict):
             raise RecipeError("step must be an object", step=i)
+        for key in raw:
+            if key not in ("op", "inputs", "args", "output"):
+                raise RecipeError(f"unknown step key {key!r}", step=i, field=key)
         op_name = raw.get("op")
         if not isinstance(op_name, str):
             raise RecipeError("step needs a string 'op'", step=i, field="op")

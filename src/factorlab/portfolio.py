@@ -7,6 +7,8 @@ weights renormalized, approximating investing only in tradable names. Both
 operators renormalise through one masked helper, ``_renormalized``, so their
 sums may differ from a per-row loop by ulps. Month t+1 is row ``lo`` of
 ``DateIndex.window_rows(1, 2)``; the spreads align legs with ``align_panels``.
+As in ``transforms``, the operator table in ``ops`` checks the arguments; these
+functions check only the data (bin codes, weight signs, the number of dates).
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ def independent_sort_2x3(size_bins: Panel, value_bins: Panel, cell: str) -> Pane
     (neutral), 3 (value). Assets missing either bin belong to no cell, so the
     six cells partition the doubly-binned universe.
     """
-    if cell not in SORT_CELLS_2X3:
-        raise DataError(f"cell must be one of {', '.join(SORT_CELLS_2X3)}, got {cell!r}")
     dates, assets, (gs, gv) = align_panels(size_bins, value_bins)
     valid_s = ~np.isnan(gs)
     valid_v = ~np.isnan(gv)
@@ -103,8 +103,6 @@ def spread_2x3(*legs: Panel) -> Panel:
 
     The six legs are series (one-column panels) ordered SG, SN, SV, BG, BN, BV.
     """
-    if len(legs) != 6:
-        raise DataError("spread_2x3 takes six legs ordered SG, SN, SV, BG, BN, BV")
     legs = [leg.to_series() for leg in legs]
     dates, _, (sg, _, sv, bg, _, bv) = align_panels(*legs)
     values = 0.5 * (sv + bv) - 0.5 * (sg + bg)

@@ -128,6 +128,10 @@ class ToolServer:
             raise RpcError(INVALID_PARAMS, str(exc), data={"param": exc.param}) from exc
 
     def _call_operator(self, name: str, arguments: dict) -> dict:
+        for key in arguments:
+            if key not in ("inputs", "args", "name"):
+                raise RpcError(INVALID_PARAMS, f"unknown key {key!r} for op {name!r}",
+                               data={"param": key})
         input_ids = arguments.get("inputs", [])
         if not isinstance(input_ids, list) or any(not isinstance(x, str) for x in input_ids):
             raise RpcError(INVALID_PARAMS, "inputs must be a list of panel ids",

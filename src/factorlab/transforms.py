@@ -10,6 +10,10 @@ quantile_bins, and xs_percentile_row.
 
 Rolling windows are calendar-month based, not positional: a month absent from
 the date index still consumes window capacity.
+
+The operator table in ``ops`` checks arguments once, before a recipe step or a
+tool call reaches a function here; the functions trust their arguments and
+check only the data (asset sets, a series transform's output shape).
 """
 
 from __future__ import annotations
@@ -112,8 +116,6 @@ def flag_rows(flags: list[str] | None, op: str, dates, rows, message: str) -> No
 
 def binary_op(a: Panel, b: Panel, op: str) -> Panel:
     """Element-wise add/sub/mul/div; missing operand or division by zero -> missing."""
-    if op not in BINARY_OPS:
-        raise DataError(f"unknown binary op {op!r}")
     dates, assets, (ga, gb) = align_panels(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         if op == "add":
@@ -131,8 +133,6 @@ def binary_op(a: Panel, b: Panel, op: str) -> Panel:
 
 def unary_op(a: Panel, op: str) -> Panel:
     """Element-wise neg/abs/log/rank_sign_flip; log of non-positive -> missing."""
-    if op not in UNARY_OPS:
-        raise DataError(f"unknown unary op {op!r}")
     vals = a.values.copy()
     if op == "neg" or op == "rank_sign_flip":
         # rank_sign_flip inverts "lower is better" characteristics so they
@@ -148,8 +148,6 @@ def unary_op(a: Panel, op: str) -> Panel:
 
 def coalesce(*panels: Panel) -> Panel:
     """Per cell, the first non-missing value in argument order."""
-    if not panels:
-        raise DataError("coalesce needs at least one panel")
     dates, assets, grids = align_panels(*panels)
     out = grids[0].copy()
     for grid in grids[1:]:
@@ -169,14 +167,6 @@ def winsorize(a: Panel, lo_pct: float | None = None, hi_pct: float | None = None
     universe-masked non-missing values; clipping applies to every asset.
     Dates with no universe values pass through unchanged and are flagged.
     """
-    if lo_pct is None and hi_pct is None:
-        raise DataError("winsorize needs lo_pct or hi_pct")
-    for p in (lo_pct, hi_pct):
-        if p is not None and not 0 <= p <= 100:
-            raise DataError(f"percentile {p} outside [0, 100]")
-    if lo_pct is not None and hi_pct is not None and not lo_pct < hi_pct:
-        raise DataError("lo_pct must be below hi_pct")
-
     dates, assets, grid = a.dates, a.assets, a.values
     in_sample = _sample_mask(a, universe)
     empty = ~np.any(in_sample, axis=1)
@@ -221,31 +211,21 @@ def quantile_bins(a: Panel, percentiles: Sequence[float],
     to the lower bin. Every non-missing asset is binned, not just universe
     members. Dates with an empty universe are all-missing and flagged.
     """
-    pcts = [float(p) for p in percentiles]
-    if not pcts:
-        raise DataError("quantile_bins needs at least one percentile")
-    if any(not 0 < p < 100 for p in pcts):
-        raise DataError("percentiles must lie strictly inside (0, 100)")
-    if any(q <= p for p, q in zip(pcts, pcts[1:])):
-        raise DataError("percentiles must be strictly increasing")
-
     dates, assets, grid = a.dates, a.assets, a.values
     in_sample = _sample_mask(a, universe)
     empty = ~np.any(in_sample, axis=1)
     flag_rows(flags, "quantile_bins", dates, empty, "empty universe")
     bins = np.ones(grid.shape)
-    for q in row_percentiles(grid, in_sample, pcts).T:
+    for q in row_percentiles(grid, in_sample, percentiles).T:
         bins += grid > q[:, None]  # tie at the breakpoint stays in the lower bin
     out = np.where(np.isnan(grid) | empty[:, None], np.nan, bins)
-    params = {"percentiles": pcts}
+    params = {"percentiles": percentiles}
     inputs = [a] + ([universe] if universe is not None else [])
     return Panel.derive("quantile_bins", params, inputs, dates, assets, out)
 
 
 def mask(a: Panel, condition: Panel, keep_if: str = "nonzero") -> Panel:
     """Blank out cells failing the condition; missing condition -> missing."""
-    if keep_if not in ("nonzero", "zero"):
-        raise DataError(f"keep_if must be 'nonzero' or 'zero', got {keep_if!r}")
     dates, assets, (ga, gc) = align_panels(a, condition)
     keep = (gc != 0) if keep_if == "nonzero" else (gc == 0)
     keep &= ~np.isnan(gc)
@@ -259,13 +239,11 @@ def compare(a: Panel, threshold, op: str = "lt") -> Panel:
     ``threshold`` is a series (a one-column panel) or a scalar constant.
     'lt' is strict; missing value or missing threshold -> missing.
     """
-    if op not in COMPARE_OPS:
-        raise DataError(f"unknown compare op {op!r}")
     dates, assets = a.dates, a.assets
     inputs = [a]
     if isinstance(threshold, (int, float)) and not isinstance(threshold, bool):
-        thresh = np.full(len(dates), float(threshold))
-        params = {"op": op, "threshold": float(threshold)}
+        thresh = np.full(len(dates), threshold)
+        params = {"op": op, "threshold": threshold}
     else:
         thresh = _align_series(dates, threshold)
         inputs.append(threshold)
@@ -284,8 +262,6 @@ def xs_percentile_row(a: Panel, pct: float, universe: Panel | None = None,
 
     Dates with an empty universe are missing and flagged.
     """
-    if not 0 < pct < 100:
-        raise DataError("pct must lie strictly inside (0, 100)")
     dates, grid = a.dates, a.values
     in_sample = _sample_mask(a, universe)
     flag_rows(flags, "xs_percentile_row", dates, ~np.any(in_sample, axis=1), "empty universe")
@@ -299,11 +275,9 @@ def xs_percentile_row(a: Panel, pct: float, universe: Panel | None = None,
 
 def lag(a: Panel, k: int) -> Panel:
     """Value at date t becomes the value k calendar months earlier, else missing."""
-    if k < 1:
-        raise DataError("lag requires k >= 1")
     lo, hi = a.dates.window_rows(-k, 1 - k)  # the row of month t-k, where there is one
     out = _padded(a.values)[np.where(hi > lo, lo, len(a.values))]
-    return Panel.derive("lag", {"k": int(k)}, [a], a.dates, a.assets, out)
+    return Panel.derive("lag", {"k": k}, [a], a.dates, a.assets, out)
 
 
 def rolling_compound_return(r: Panel, window: int, skip: int = 0,
@@ -314,16 +288,8 @@ def rolling_compound_return(r: Panel, window: int, skip: int = 0,
     t-2, eleven returns. Cells with fewer than min_obs non-missing returns in
     the window are missing; min_obs defaults to the strict window-skip.
     """
-    window, skip = int(window), int(skip)
-    if not window > skip >= 0:
-        raise DataError("need window > skip >= 0")
-    span = window - skip
     if min_obs is None:
-        min_obs = span
-    min_obs = int(min_obs)
-    if not 1 <= min_obs <= span:
-        raise DataError("need 1 <= min_obs <= window - skip")
-
+        min_obs = window - skip
     lo, hi = r.dates.window_rows(-window, -skip)
     growth = np.ones_like(r.values)
     factors = np.where(np.isnan(r.values), 1.0, 1.0 + r.values)  # missing: times 1.0
@@ -336,12 +302,6 @@ def rolling_compound_return(r: Panel, window: int, skip: int = 0,
 
 def rolling_stat(a: Panel, window: int, stat: str, min_obs: int = 1) -> Panel:
     """Trailing-window statistic over months t-window+1 .. t (current included)."""
-    if stat not in ROLLING_STATS:
-        raise DataError(f"unknown rolling stat {stat!r}")
-    window, min_obs = int(window), int(min_obs)
-    if not 1 <= min_obs <= window:
-        raise DataError("need 1 <= min_obs <= window")
-
     lo, hi = a.dates.window_rows(1 - window, 1)
     count = window_counts(a.values, lo, hi)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -451,13 +411,6 @@ def ewma(a: Panel, alpha: float, min_periods: int = 1) -> Panel:
     Output stays missing until min_periods non-missing observations have
     been seen, and at dates where the input itself is missing.
     """
-    alpha = float(alpha)
-    if not 0 < alpha <= 1:
-        raise DataError("alpha must lie in (0, 1]")
-    min_periods = int(min_periods)
-    if min_periods < 1:
-        raise DataError("min_periods must be >= 1")
-
     out = _ewma_grid(a.values, alpha, min_periods)
     params = {"alpha": alpha, "min_periods": min_periods}
     return Panel.derive("ewma", params, [a], a.dates, a.assets, out)
@@ -502,10 +455,6 @@ def trend(a: Panel, name: str, params: dict | None = None) -> Panel:
 
     The transform gets a writable copy of the whole grid in one call.
     """
-    if name not in _SERIES_TRANSFORMS:
-        raise DataError(
-            f"unknown series transform {name!r}; registered: {series_transform_names()}"
-        )
     fn = _SERIES_TRANSFORMS[name](**(params or {}))
     out = np.asarray(fn(a.values.copy()), dtype=np.float64)
     if out.shape != a.values.shape:
@@ -545,15 +494,6 @@ def annual_to_monthly(a: Panel, placement_month: int, offset: int,
     override earlier ones on overlap. The Fama-French timing (December value
     usable June through May) is placement_month=12, offset=6, valid_months=12.
     """
-    placement_month = int(placement_month)
-    if not 1 <= placement_month <= 12:
-        raise DataError("placement_month must be 1..12")
-    offset, valid_months = int(offset), int(valid_months)
-    if valid_months < 1:
-        raise DataError("valid_months must be >= 1")
-    if offset < 0:
-        raise DataError("offset must be >= 0")
-
     out = np.full_like(a.values, np.nan)
     lo, hi = a.dates.window_rows(offset, offset + valid_months)
     for i in np.flatnonzero(a.dates.ordinals % 12 == placement_month - 1):

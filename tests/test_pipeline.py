@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from factorlab import pipeline
-from factorlab.errors import DataError, StepExecutionError
+from factorlab.errors import DataError, RecipeError, StepExecutionError
 from factorlab.panel import PanelRegistry
 
 from . import oracles
@@ -78,3 +78,22 @@ def test_recipe_that_is_a_directory_or_not_text_is_a_data_error(tmp_path):
     for ref in ("", str(tmp_path), str(binary)):
         with pytest.raises(DataError):
             pipeline.load_recipe(ref)
+
+
+MASK_STEP = {"op": "mask", "inputs": ["X", "X"], "args": {"keep_if": "zero"}, "output": "M"}
+
+
+@pytest.mark.parametrize("recipe, step, field", [
+    ({"name": "r", "sources": ["X"], "steps": [MASK_STEP], "description": "d"},
+     None, "description"),
+    ({"name": "r", "sources": ["X"], "steps": [MASK_STEP, {**MASK_STEP, "output": "N",
+                                                           "note": "n"}]}, 1, "note"),
+    # a misspelled "args": the step would otherwise run on the default keep_if
+    ({"name": "r", "sources": ["X"], "steps": [
+        {"op": "mask", "inputs": ["X", "X"], "arg": {"keep_if": "zero"}, "output": "M"}]},
+     0, "arg"),
+])
+def test_an_unknown_recipe_or_step_key_is_refused(recipe, step, field):
+    with pytest.raises(RecipeError) as exc:
+        pipeline.parse_and_validate(recipe)
+    assert (exc.value.step, exc.value.field) == (step, field)

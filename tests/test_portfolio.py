@@ -265,11 +265,6 @@ class TestSort2x3:
         with pytest.raises(DataError, match="value bins"):
             pf.independent_sort_2x3(size_bins, value_bins, "SV")
 
-    def test_unknown_cell(self):
-        bins = make_panel("S", ["2000-01"], ["a"], [[1.0]])
-        with pytest.raises(DataError, match="cell"):
-            pf.independent_sort_2x3(bins, bins, "XX")
-
     def test_cell_provenance(self):
         bins = make_panel("S", ["2000-01"], ["a"], [[1.0]])
         out = pf.independent_sort_2x3(bins, bins, "SG")
@@ -291,10 +286,6 @@ class TestSpreads:
         legs = [series([("2000-01", 0.02)]) for _ in pf.SORT_CELLS_2X3]
         legs[pf.SORT_CELLS_2X3.index("SV")] = series([("2000-01", None)])
         assert np.isnan(pf.spread_2x3(*legs).values[0, 0])
-
-    def test_spread_2x3_needs_six_legs(self):
-        with pytest.raises(DataError):
-            pf.spread_2x3(*[series([("2000-01", 0.02)])] * 5)
 
     def test_spread_2x3_antisymmetric_under_value_growth_swap(self):
         rng = np.random.default_rng(7)

@@ -163,6 +163,10 @@ def tool_argument_cases():
      INVALID_PARAMS, "name"),
     ("binary_op", {"inputs": ["CAP", "CAP"], "args": {"op": ""}}, INVALID_PARAMS, "op"),
     ("trend", {"inputs": ["CAP"], "args": {"name": ""}}, INVALID_PARAMS, "name"),
+    ("lag", {"inputs": ["CAP"], "args": None}, INVALID_PARAMS, "args"),
+    ("lag", {"inputs": ["CAP"], "args": [1]}, INVALID_PARAMS, "args"),
+    ("mask", {"inputs": ["CAP", "CAP"], "arg": {"keep_if": "zero"}}, INVALID_PARAMS, "arg"),
+    ("lag", {"inputs": ["CAP"], "args": {"k": 1}, "output": "L"}, INVALID_PARAMS, "output"),
     *tool_argument_cases(),
 ])
 def test_error_codes(server, tool, arguments, code, param):

@@ -84,10 +84,6 @@ class TestCoalesce:
         out = tr.coalesce(row_panel([None], "P1"), row_panel([None], "P2"))
         assert np.isnan(out.values[0, 0])
 
-    def test_empty_list_error(self):
-        with pytest.raises(DataError):
-            tr.coalesce()
-
 
 class TestWinsorize:
     def test_two_sided(self):
@@ -111,12 +107,6 @@ class TestWinsorize:
         out = tr.winsorize(p, hi_pct=50, universe=universe, flags=flags)
         assert out.values.tolist() == [[1.0, 2.0, 3.0]]
         assert flags and "2000-01" in flags[0]
-
-    def test_bad_bounds(self):
-        with pytest.raises(DataError):
-            tr.winsorize(row_panel([1.0]), lo_pct=80, hi_pct=20)
-        with pytest.raises(DataError):
-            tr.winsorize(row_panel([1.0]))
 
 
 class TestStandardize:
@@ -169,12 +159,6 @@ class TestQuantileBins:
         order = np.argsort(vals)
         bins = out.values[0][order]
         assert np.all(np.diff(bins) >= 0)
-
-    def test_percentile_range_validation(self):
-        with pytest.raises(DataError):
-            tr.quantile_bins(row_panel([1.0]), [0])
-        with pytest.raises(DataError):
-            tr.quantile_bins(row_panel([1.0]), [30, 30])
 
 
 class TestMaskCompare:
@@ -365,10 +349,6 @@ class TestTrend:
         out = tr.trend(p, "cumsum").values
         np.testing.assert_array_equal(out[:, 0], [np.nan, 1.0, np.nan, 3.5, np.nan])
         np.testing.assert_array_equal(out[:, 1], [1.0, np.nan, np.nan, -2.0, -1.0])
-
-    def test_unknown_transform(self):
-        with pytest.raises(DataError, match="unknown series transform"):
-            tr.trend(row_panel([1.0]), "frobnicate")
 
     def test_transform_that_changes_the_shape(self, monkeypatch):
         monkeypatch.setitem(tr._SERIES_TRANSFORMS, "drop_last", lambda: lambda grid: grid[:-1])
