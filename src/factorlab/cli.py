@@ -1,5 +1,9 @@
 """Command-line entry point: gen, ingest, run, report, graph, simk, plot, serve.
 
+``ingest`` and ``run`` save each panel as its store (``<id>.npy`` and
+``<id>.meta.json``) plus the long-form ``<id>.csv`` export for people;
+``report``, ``graph`` and ``plot`` read the store of ``--data-dir``.
+
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime. Usage errors (bad
 options, ``--param``/``--model`` syntax, an invalid generator config, a Sim@k
 ``k`` outside the attempts) exit 1 where they are found. Every other failure
@@ -152,11 +156,17 @@ def _ingest_sources(args):
     return ingest_dataset(data / args.monthly, data / args.annual)
 
 
+def _save_panels(panels, out_dir) -> list[Path]:
+    """Write each panel's store and its long-form CSV export; returns the files."""
+    return [path for panel in panels
+            for path in (*panelio.save(panel, out_dir), panelio.export_csv(panel, out_dir))]
+
+
 def cmd_ingest(args) -> int:
     result = _ingest_sources(args)
-    for name in sorted(result.panels):
-        for path in panelio.save(result.panels[name], args.out_dir):
-            print(path)
+    for path in _save_panels((result.panels[name] for name in sorted(result.panels)),
+                             args.out_dir):
+        print(path)
     print(f"rows={result.n_rows} removed={json.dumps(result.removed, sort_keys=True)} "
           f"skipped={result.skipped_rows}")
     return EXIT_OK
@@ -208,11 +218,8 @@ def cmd_run(args) -> int:
 
 
 def _save_run_outputs(registry, sources, outputs, out_dir):
-    for name in sources:
-        if name in registry:
-            panelio.save(registry.get(name), out_dir)
-    for panel_id in outputs.values():
-        panelio.save(registry.get(panel_id), out_dir)
+    saved = [name for name in sources if name in registry] + list(outputs.values())
+    _save_panels(map(registry.get, saved), out_dir)
 
 
 def _load_data_registry(args):

@@ -1,5 +1,7 @@
 """Exception types shared across the engine."""
 
+import re
+
 
 class EngineError(Exception):
     """Base class for all factorlab errors."""
@@ -18,7 +20,11 @@ class DataError(EngineError):
 
 
 class RecipeError(EngineError):
-    """Static recipe validation failure. Carries step index and field path."""
+    """Static recipe validation failure. Carries step index and field path.
+
+    The message is prefixed with the step, and with the field unless the
+    message already names it as a word, so the text names each once.
+    """
 
     def __init__(self, message, step=None, field=None):
         self.step = step
@@ -26,7 +32,7 @@ class RecipeError(EngineError):
         prefix = ""
         if step is not None:
             prefix += f"step {step}: "
-        if field is not None:
+        if field is not None and not re.search(rf"(?<!\w){re.escape(field)}(?!\w)", message):
             prefix += f"{field}: "
         super().__init__(prefix + message)
 

@@ -26,6 +26,7 @@ from . import panel as panelio
 from .panel import Panel, reframe
 
 FAILED_ATTEMPT_SCORE = -1.0
+SAVED_PANEL_SUFFIXES = (".csv", ".npy", ".meta.json")  # the files of a saved panel
 
 
 def align(a: Panel, b: Panel) -> tuple[np.ndarray, np.ndarray]:
@@ -137,15 +138,18 @@ def evaluate_task(attempt_set: AttemptSet, ks,
 
 
 def _load_entry(path_str: str, base: Path):
-    """A panel referenced as the path of its saved CSV (meta.json alongside)."""
+    """A saved panel referenced by the path of its ``<id>.csv`` export,
+    ``<id>.npy`` grid or ``<id>.meta.json``; all three load the store."""
     if not isinstance(path_str, str):
         raise DataError(f"manifest entries must be paths, got {path_str!r}")
     path = Path(path_str)
     if not path.is_absolute():
         path = base / path
-    if path.suffix != ".csv":
-        raise DataError(f"manifest entries must point at saved panel CSVs, got {path}")
-    return panelio.load(path.parent, path.stem)
+    for suffix in SAVED_PANEL_SUFFIXES:
+        if path.name.endswith(suffix):
+            return panelio.load(path.parent, path.name[:-len(suffix)])
+    raise DataError(f"manifest entries must point at a saved panel's "
+                    f"{', '.join(SAVED_PANEL_SUFFIXES)} file, got {path}")
 
 
 def load_manifest(manifest_path) -> list[AttemptSet]:

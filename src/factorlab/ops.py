@@ -142,9 +142,9 @@ def _check_range(p: ParamSpec, value):
             return True
         return False
 
-    lo = "(" if p.exclusive_min else "["
-    hi = ")" if p.exclusive_max else "]"
-    bounds = f"{lo}{p.minimum}, {p.maximum}{hi}"
+    lo = "(-inf" if p.minimum is None else f"{'(' if p.exclusive_min else '['}{p.minimum}"
+    hi = "inf)" if p.maximum is None else f"{p.maximum}{')' if p.exclusive_max else ']'}"
+    bounds = f"{lo}, {hi}"
     if p.type in ("number", "int") and out_of_range(value):
         raise ArgError(f"{p.name}: value {value} outside {bounds}", p.name)
     if p.type == "number_list":

@@ -15,9 +15,15 @@ one derive it like any other panel, so a series carries provenance from the
 start, and consumers read its column with ``values[:, 0]``.
 
 ``reframe`` is the one frame mapper for a grid or series on another frame.
-``read_table`` is the one keyed-CSV reader, for the ingest files and saved
-panels. ``load_registry`` reads only the metadata of saved panels; a panel's
-value CSV is parsed on its first ``PanelRegistry.get``.
+``read_table`` is the one keyed-CSV reader, for the ingest files.
+
+A saved panel is its store: ``<id>.meta.json`` (frame and provenance) and
+``<id>.npy`` (the float64 grid, written and read without pickles), so a
+round trip is bit-exact by construction and no text is parsed. ``load``
+checks the grid against the metadata frame, and ``read_grid`` is its one
+reader. ``export_csv`` writes the long-form ``<id>.csv`` for people and other
+tools; nothing here reads it back. ``load_registry`` reads only the metadata
+of saved panels; a panel's grid is read on its first ``PanelRegistry.get``.
 """
 
 from __future__ import annotations
@@ -483,21 +489,13 @@ def _numbers(raw: np.ndarray, path: Path, column: str, lines: np.ndarray) -> np.
 
 
 def save(panel: Panel, directory) -> list[Path]:
-    """Write ``<id>.csv`` (long form, missing cells omitted) and ``<id>.meta.json``."""
-    if not panel.panel_id:
-        raise DataError("cannot save an unregistered panel without an id")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / f"{panel.panel_id}.csv"
+    """Write the panel's store: ``<id>.npy`` (the float64 grid, by ``np.save``
+    without pickles) and ``<id>.meta.json`` (frame and provenance)."""
+    directory = _panel_dir(panel, directory)
+    npy_path = directory / f"{panel.panel_id}.npy"
     meta_path = directory / f"{panel.panel_id}.meta.json"
-
-    i, j = np.nonzero(~np.isnan(panel.values))
-    cells = map("{},{},{!r}".format,
-                np.array(panel.dates.periods, dtype=object)[i].tolist(),
-                np.array(panel.assets, dtype=object)[j].tolist(),
-                panel.values[i, j].tolist())
-    csv_path.write_text("\n".join(["date,asset,value", *cells]) + "\n", encoding="utf-8")
-
+    with npy_path.open("wb") as fh:
+        np.save(fh, panel.values, allow_pickle=False)
     span = [panel.dates[0], panel.dates[-1]] if len(panel.dates) else []
     meta = {
         "panel_id": panel.panel_id,
@@ -507,7 +505,30 @@ def save(panel: Panel, directory) -> list[Path]:
         "provenance": panel.provenance.to_dict(),
     }
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return [csv_path, meta_path]
+    return [npy_path, meta_path]
+
+
+def export_csv(panel: Panel, directory) -> Path:
+    """Write ``<id>.csv``: long form ``date,asset,value`` in date-major order,
+    missing cells omitted and values in shortest round-trip form. It is an
+    export for people and other tools; ``load`` never reads it."""
+    csv_path = _panel_dir(panel, directory) / f"{panel.panel_id}.csv"
+    i, j = np.nonzero(~np.isnan(panel.values))
+    cells = map("{},{},{!r}".format,
+                np.array(panel.dates.periods, dtype=object)[i].tolist(),
+                np.array(panel.assets, dtype=object)[j].tolist(),
+                panel.values[i, j].tolist())
+    csv_path.write_text("\n".join(["date,asset,value", *cells]) + "\n", encoding="utf-8")
+    return csv_path
+
+
+def _panel_dir(panel: Panel, directory) -> Path:
+    """``directory``, created if needed, for the files of a registered panel."""
+    if not panel.panel_id:
+        raise DataError("cannot save an unregistered panel without an id")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory
 
 
 def _read_meta(directory: Path, panel_id: str) -> tuple[DateIndex, tuple, ProvenanceRecord]:
@@ -530,16 +551,35 @@ def _read_meta(directory: Path, panel_id: str) -> tuple[DateIndex, tuple, Proven
         raise DataError(f"{meta_path}: bad metadata: {type(exc).__name__}: {exc}") from exc
 
 
+def read_grid(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    """The saved float64 grid in ``path``, checked against the frame's ``shape``.
+
+    A missing, truncated, pickled or ``.npz`` file, a dtype other than native
+    float64 and a shape other than ``shape`` are each a ``DataError`` naming
+    the file.
+    """
+    try:
+        with path.open("rb") as fh:
+            grid = np.load(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise DataError(f"missing file {path}") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    if not isinstance(grid, np.ndarray):  # an .npz archive
+        raise DataError(f"{path}: cannot read: not a .npy array")
+    if grid.dtype != np.dtype(np.float64):
+        raise DataError(f"{path}: dtype {grid.dtype.str} is not native float64")
+    if grid.shape != shape:
+        raise DataError(f"{path}: grid {grid.shape} does not match the "
+                        f"{shape[0]}x{shape[1]} metadata frame")
+    return grid
+
+
 def load(directory, panel_id: str) -> Panel:
-    """Rebuild a saved panel bit-exactly (values, missing mask, frame, provenance)."""
+    """Rebuild a saved panel bit-exactly from its ``<id>.meta.json`` and ``<id>.npy``."""
     directory = Path(directory)
     dates, assets, provenance = _read_meta(directory, panel_id)
-    csv_path = directory / f"{panel_id}.csv"
-    table = read_table(csv_path, ("date", "asset"), ("value",))
-    outside = table.outside(dates, assets)
-    if outside.any():
-        raise DataError(f"{csv_path}: cell {table.first_cell(outside)} outside metadata frame")
-    values = reframe(table.grids["value"], table.dates, dates, table.assets, assets)
+    values = read_grid(directory / f"{panel_id}.npy", (len(dates), len(assets)))
     return Panel(panel_id, dates, assets, values, provenance)
 
 

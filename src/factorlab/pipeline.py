@@ -72,7 +72,8 @@ def parse_and_validate(recipe, overrides: Mapping | None = None) -> PipelineSpec
 
     Every op must exist, every argument must type-check with ranges, every
     input must reference a declared source or a prior output, and outputs
-    must be unique. Errors carry the step index and field path.
+    must be unique. ``overrides`` may set only params the recipe declares.
+    Errors carry the step index and field path.
     """
     if isinstance(recipe, (str, bytes)):
         try:
@@ -93,8 +94,12 @@ def parse_and_validate(recipe, overrides: Mapping | None = None) -> PipelineSpec
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise RecipeError("'params' must be an object", field="params")
-    if overrides:
-        params = {**params, **overrides}
+    overrides = dict(overrides or {})
+    for key in overrides:
+        if key not in params:
+            raise RecipeError(f"unknown param {key!r}; the recipe declares {sorted(params)}",
+                              field="params")
+    params = {**params, **overrides}
     sources = doc.get("sources", [])
     if (not isinstance(sources, list)
             or any(not isinstance(s, str) or not s for s in sources)):

@@ -44,13 +44,13 @@ TOOLS: dict[str, OperatorSpec] = {spec.name: spec for spec in (
         0, 0, "none; reads from disk",
         (
             ParamSpec("directory", "string", required=True,
-                      doc="directory containing <panel_id>.csv and <panel_id>.meta.json"),
+                      doc="directory containing <panel_id>.npy and <panel_id>.meta.json"),
             ParamSpec("panel_id", "string", required=True, doc="panel id to load"),
         ),
         "panel_payload",
     ),
     OperatorSpec(
-        "save_panel", "Write a registered panel to disk as CSV plus metadata.",
+        "save_panel", "Write a registered panel to disk as a .npy grid plus metadata.",
         0, 0, "none; writes to disk",
         (
             ParamSpec("panel_id", "string", required=True, doc="registered panel id"),

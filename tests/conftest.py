@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import pickle
 import time
 from pathlib import Path
 
@@ -64,17 +66,55 @@ def month_rows(dates: DateIndex) -> dict[int, int]:
 
 
 def count_reads(monkeypatch, delay: float = 0.0) -> list[str]:
-    """Record the file name of every CSV that ``panel.read_table`` parses from
-    now on, each read held ``delay`` seconds first so that threads overlap."""
-    reads, real = [], panelio.read_table
+    """Record the file name of every saved grid that ``panel.read_grid`` reads
+    from now on, each read held ``delay`` seconds first so that threads overlap."""
+    reads, real = [], panelio.read_grid
 
     def counted(path, *args, **kwargs):
         reads.append(Path(path).name)
         time.sleep(delay)
         return real(path, *args, **kwargs)
 
-    monkeypatch.setattr(panelio, "read_table", counted)
+    monkeypatch.setattr(panelio, "read_grid", counted)
     return reads
+
+
+def npy_bytes(array, **kwargs) -> bytes:
+    """The bytes ``np.save`` writes for ``array``."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, **kwargs)
+    return buffer.getvalue()
+
+
+def npz_bytes(array) -> bytes:
+    """The bytes ``np.savez`` writes for ``array`` alone."""
+    buffer = io.BytesIO()
+    np.savez(buffer, grid=array)
+    return buffer.getvalue()
+
+
+def _rewrite(change):  # rewrite a saved grid as change(grid)
+    return lambda path: path.write_bytes(change(np.load(path)))
+
+
+# the ways a saved <id>.npy can be broken: name -> (break the file at a path,
+# text that the DataError naming the file carries)
+STORE_CORRUPTIONS = {
+    "missing": (Path.unlink, "missing file"),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-4]),
+                  "cannot read: Failed to read all data"),
+    "empty": (lambda path: path.write_bytes(b""), "cannot read: No data left"),
+    "pickled": (_rewrite(pickle.dumps), "cannot read: This file contains pickled"),
+    "object": (_rewrite(lambda grid: npy_bytes(grid.astype(object), allow_pickle=True)),
+               "cannot read: Object arrays cannot be loaded"),
+    "npz": (_rewrite(npz_bytes), "cannot read: not a .npy array"),
+    ">f8": (_rewrite(lambda grid: npy_bytes(grid.astype(">f8"))),
+            "dtype >f8 is not native float64"),
+    "float32": (_rewrite(lambda grid: npy_bytes(grid.astype(np.float32))),
+                "dtype <f4 is not native float64"),
+    "wrong_shape": (_rewrite(lambda grid: npy_bytes(np.vstack([grid, grid[:1]]))),
+                    "does not match the"),
+}
 
 
 @pytest.fixture(scope="session")

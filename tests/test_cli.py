@@ -13,7 +13,7 @@ from factorlab import cli
 from factorlab import panel as panelio
 from factorlab.panel import Panel
 
-from .conftest import count_reads
+from .conftest import STORE_CORRUPTIONS, count_reads
 
 RUN_LOG_KEYS = {"recipe", "params", "sources", "outputs", "steps", "flags", "ingest_removed"}
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,7 +23,7 @@ GOLDEN_REPORT = ["report", "--spread", "HML_spread", "--characteristic", "BM",
                  "--model", "CAPM=MKT", "--stratify-recipe", "hml", "--weights", "W_SV"]
 # the report the benchmark runs, without --weights, and the panels it reads
 BENCH_REPORT = GOLDEN_REPORT[:-2]
-BENCH_REPORT_READS = [f"{panel_id}.csv" for panel_id in (
+BENCH_REPORT_READS = [f"{panel_id}.npy" for panel_id in (
     "BM", "CAP", "CAPCO", "HML_spread", "MKT", "NYSE", "PSTK", "PSTKL", "PSTKRV", "RET", "SEQ")]
 
 
@@ -93,6 +93,19 @@ def test_dry_run_prints_the_plan(workdir, capsys):
     assert "-> MOM_spread" in out
 
 
+@pytest.mark.parametrize("param, message", [
+    ("mom_windw=6", "error: params: unknown param 'mom_windw'; the recipe declares "
+                    "['mom_min_obs', 'mom_skip', 'mom_window']"),
+    ("mom_window=0", "error: step 0: window: value 0 outside [1, inf)"),
+])
+def test_a_bad_param_override_is_a_validation_error(workdir, capsys, param, message):
+    directory, _ = workdir
+    assert exit_code(directory, "run", "jkp_momentum", "--dry-run",
+                     "--param", param) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and only_error_line(err) == message
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--spread", "HML_spread", "--characteristic", "BM"],
     ["gen", "--n-assets", "0"],
@@ -121,7 +134,8 @@ def test_all_missing_step_exits_3_after_saving_the_steps_before_it(workdir, tmp_
         cli.main(["--data-dir", str(directory), "--out-dir", str(out), "run", str(recipe)])
     assert exc.value.code == cli.EXIT_RUNTIME
     assert sorted(p.name for p in out.iterdir()) == [
-        "CAP.csv", "CAP.meta.json", "HUGE_CAP.csv", "HUGE_CAP.meta.json"]
+        "CAP.csv", "CAP.meta.json", "CAP.npy",
+        "HUGE_CAP.csv", "HUGE_CAP.meta.json", "HUGE_CAP.npy"]
 
 
 def test_unknown_recipe_is_a_validation_error(workdir):
@@ -148,7 +162,7 @@ def test_malformed_monthly_csv_is_a_validation_error(workdir, tmp_path, capsys, 
 
 def test_malformed_saved_panel_is_a_validation_error(workdir, tmp_path):
     directory, _ = workdir
-    for name in ("MKT.csv", "MKT.meta.json"):
+    for name in ("MKT.npy", "MKT.meta.json"):
         (tmp_path / name).write_bytes((directory / name).read_bytes())
     (tmp_path / "MKT.meta.json").write_text("[]")
     assert exit_code(tmp_path, "graph", "MKT") == cli.EXIT_VALIDATION
@@ -205,8 +219,8 @@ def test_graph_reads_no_value_file(workdir, tmp_path, monkeypatch, fmt, name):
         assert cli.main(["--data-dir", str(saved), "--out-dir", str(out),
                          "graph", "HML_spread", "--format", fmt]) == 0
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), trial
-        for path in saved.glob("*.csv"):
-            if path.name != "HML_spread.csv":
+        for path in saved.glob("*.npy"):
+            if path.name != "HML_spread.npy":
                 path.unlink()
     assert reads == []
 
@@ -235,7 +249,7 @@ def test_report_reads_only_the_panels_it_touches(workdir, tmp_path, monkeypatch)
 def test_a_corrupt_panel_the_report_does_not_read_is_not_parsed(workdir, tmp_path):
     directory, _ = workdir
     saved = saved_copy(directory, tmp_path / "saved")
-    (saved / "W_BV.csv").write_text("date,asset,value\n1990-01,A0001,oops\n")
+    (saved / "W_BV.npy").write_bytes(b"")
     out = tmp_path / "out"
     assert cli.main(["--data-dir", str(saved), "--out-dir", str(out), *GOLDEN_REPORT]) == 0
     for suffix in (".md", ".json"):
@@ -250,13 +264,41 @@ def test_a_corrupt_panel_the_command_reads_is_a_validation_error(workdir, tmp_pa
                                                                   argv):
     directory, _ = workdir
     saved = saved_copy(directory, tmp_path / "saved")
-    (saved / "HML_spread.csv").write_text("date,asset,value\n1990-01,value,oops\n")
+    (saved / "HML_spread.npy").write_bytes(b"")
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main(["--data-dir", str(saved), "--out-dir", str(out), *argv])
     assert exc.value.code == cli.EXIT_VALIDATION
-    assert f"{saved / 'HML_spread.csv'} line 2: bad number 'oops'" in capsys.readouterr().err
+    assert only_error_line(capsys.readouterr().err).endswith(
+        f"{saved / 'HML_spread.npy'}: cannot read: No data left in file")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", STORE_CORRUPTIONS)
+@pytest.mark.parametrize("argv", [GOLDEN_REPORT, ["plot", "MKT", "HML_spread"]],
+                         ids=["report", "plot"])
+def test_every_store_corruption_is_a_validation_error(workdir, tmp_path, capsys, argv, case):
+    directory, _ = workdir
+    saved = saved_copy(directory, tmp_path / "saved")
+    corrupt, message = STORE_CORRUPTIONS[case]
+    corrupt(saved / "HML_spread.npy")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(saved), "--out-dir", str(out), *argv])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    line = only_error_line(capsys.readouterr().err)
+    assert str(saved / "HML_spread.npy") in line and message in line
+    assert not out.exists()
+
+
+def test_ingest_and_run_export_each_saved_panel_as_csv(workdir, tmp_path):
+    directory, _ = workdir
+    metas = sorted(directory.glob("*.meta.json"))
+    assert len(metas) > 30
+    for meta in metas:
+        saved = panelio.load(directory, meta.name[:-len(".meta.json")])
+        export = directory / f"{saved.panel_id}.csv"
+        assert export.read_bytes() == panelio.export_csv(saved, tmp_path).read_bytes()
 
 
 def only_error_line(err: str) -> str:

@@ -204,6 +204,22 @@ class TestManifest:
         table = ev.evaluate_manifest(path, ks=[1])
         assert table["aggregate_sim_at_k"]["1"] == 0.75
 
+    @pytest.mark.parametrize("suffix", [".csv", ".npy", ".meta.json"])
+    def test_an_entry_names_a_saved_panel_by_any_of_its_files(self, tmp_path, suffix):
+        path = self._manifest(tmp_path)
+        doc = json.loads(path.read_text())
+        task = doc["tasks"][0]
+        task["reference"] = f"panels/REF{suffix}"
+        task["attempts"] = [f"panels/A1{suffix}", f"panels/A2{suffix}"]
+        path.write_text(json.dumps(doc))
+        assert ev.evaluate_manifest(path, ks=[1])["aggregate_sim_at_k"]["1"] == 0.75
+
+    def test_an_entry_that_is_not_a_saved_panel_file_is_refused(self, tmp_path):
+        path = self._manifest(tmp_path)
+        path.write_text(path.read_text().replace("panels/A1.csv", "panels/A1.txt"))
+        with pytest.raises(DataError, match=r"\.csv, \.npy, \.meta\.json file, got .*A1\.txt"):
+            ev.evaluate_manifest(path, ks=[1])
+
     def test_bad_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{}")

@@ -8,7 +8,15 @@ import pytest
 
 from factorlab import transforms
 from factorlab.errors import RecipeError
-from factorlab.ops import OPERATORS, ArgError, apply_step, get_operator, validate_args
+from factorlab.ops import (
+    OPERATORS,
+    ArgError,
+    OperatorSpec,
+    ParamSpec,
+    apply_step,
+    get_operator,
+    validate_args,
+)
 from factorlab.panel import PanelRegistry
 from factorlab.pipeline import parse_and_validate
 from factorlab.toolserver import INVALID_PARAMS, ToolServer
@@ -217,3 +225,15 @@ def test_each_argument_rule_is_refused_at_every_boundary(op, args, n_inputs, par
     assert response["error"]["code"] == INVALID_PARAMS
     assert response["error"]["data"] == {"param": param}
     assert server.registry.ids() == ["X"]
+
+
+@pytest.mark.parametrize("bounds, value, text", [
+    ({"minimum": 1}, 0, "value 0 outside [1, inf)"),
+    ({"maximum": 5, "exclusive_max": True}, 5, "value 5 outside (-inf, 5)"),
+    ({"minimum": 0, "maximum": 100, "exclusive_min": True}, 0, "value 0 outside (0, 100]"),
+])
+def test_a_range_error_prints_only_the_bounds_it_has(bounds, value, text):
+    spec = OperatorSpec("probe", "", 0, 0, "", (ParamSpec("w", "int", **bounds),), "panel")
+    with pytest.raises(ArgError) as exc:
+        validate_args(spec, {"w": value}, 0)
+    assert str(exc.value) == f"w: {text}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,7 +23,14 @@ from factorlab.panel import (
     reframe,
 )
 
-from .conftest import count_reads, make_panel, month_rows, value_equal
+from .conftest import (
+    STORE_CORRUPTIONS,
+    count_reads,
+    make_panel,
+    month_rows,
+    npy_bytes,
+    value_equal,
+)
 from .oracles import topological_order
 
 
@@ -256,8 +264,9 @@ class TestSaveLoad:
     def test_missing_cells_omitted(self, tmp_path):
         p = make_panel("P", ["1990-01", "1990-02"], ["a", "b"],
                        [[1.0, None], [2.0, 3.0]])
-        csv_path, meta_path = panelio.save(p, tmp_path)
-        rows = csv_path.read_text().strip().splitlines()
+        npy_path, meta_path = panelio.save(p, tmp_path)
+        assert (npy_path, meta_path) == (tmp_path / "P.npy", tmp_path / "P.meta.json")
+        rows = panelio.export_csv(p, tmp_path).read_text().strip().splitlines()
         assert rows[0] == "date,asset,value"
         assert len(rows) == 4  # three values, one missing cell omitted
         meta = json.loads(meta_path.read_text())
@@ -273,8 +282,11 @@ class TestSaveLoad:
         assert loaded.panel_id == "P"
         # and the re-saved bytes are identical
         again = tmp_path / "again"
-        panelio.save(loaded, again)
-        assert (again / "P.csv").read_text() == (tmp_path / "P.csv").read_text()
+        for directory, panel in ((tmp_path, p), (again, loaded)):
+            panelio.save(panel, directory)
+            panelio.export_csv(panel, directory)
+        for name in ("P.npy", "P.meta.json", "P.csv"):
+            assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_provenance_preserved(self, tmp_path):
         reg = PanelRegistry()
@@ -304,24 +316,39 @@ class TestSaveLoad:
     def test_load_rejects_cell_outside_frame(self, tmp_path):
         p = make_panel("P", ["1990-01"], ["a"], [[1.0]])
         panelio.save(p, tmp_path)
-        csv_path = tmp_path / "P.csv"
-        csv_path.write_text(csv_path.read_text() + "1990-02,a,9.0\n")
-        with pytest.raises(DataError, match="outside metadata frame"):
+        (tmp_path / "P.npy").write_bytes(npy_bytes(np.array([[1.0], [9.0]])))
+        with pytest.raises(DataError, match=r"P\.npy: grid \(2, 1\) does not match the "
+                                            r"1x1 metadata frame"):
             panelio.load(tmp_path, "P")
 
-    def test_load_duplicate_cell_names_the_line(self, tmp_path):
-        panelio.save(make_panel("P", ["1990-01"], ["a", "b"], [[1.0, 2.0]]), tmp_path)
-        csv_path = tmp_path / "P.csv"
-        csv_path.write_text(csv_path.read_text() + "\n1990-01,b,9.0\n")
-        with pytest.raises(DataError, match=r"line 5: duplicate key \(1990-01,b\)"):
+    @pytest.mark.parametrize("case", STORE_CORRUPTIONS)
+    def test_load_rejects_a_corrupt_store(self, tmp_path, case):
+        corrupt, message = STORE_CORRUPTIONS[case]
+        panelio.save(make_panel("P", ["1990-01", "1990-02"], ["a", "b"],
+                                [[1.0, None], [-0.0, 2.5]]), tmp_path)
+        corrupt(tmp_path / "P.npy")
+        with pytest.raises(DataError) as exc:
+            panelio.load(tmp_path, "P")
+        assert str(tmp_path / "P.npy") in str(exc.value) and message in str(exc.value)
+
+    def test_a_directory_saved_as_csv_only_names_the_missing_grid(self, tmp_path):
+        p = make_panel("P", ["1990-01"], ["a"], [[1.0]])
+        panelio.save(p, tmp_path)
+        panelio.export_csv(p, tmp_path)
+        (tmp_path / "P.npy").unlink()
+        with pytest.raises(DataError, match=re.escape(f"missing file {tmp_path / 'P.npy'}")):
             panelio.load(tmp_path, "P")
 
-    def test_load_wrong_width_names_the_line(self, tmp_path):
-        panelio.save(make_panel("P", ["1990-01"], ["a", "b"], [[1.0, 2.0]]), tmp_path)
-        csv_path = tmp_path / "P.csv"
-        csv_path.write_text(csv_path.read_text() + "1990-01,b\n")
-        with pytest.raises(DataError, match="line 4: expected 3 fields"):
-            panelio.load(tmp_path, "P")
+    def test_load_never_parses_text(self, tmp_path, monkeypatch):
+        p = make_panel("P", ["1990-01"], ["a"], [[1.0]])
+        panelio.save(p, tmp_path)
+        panelio.export_csv(p, tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load parsed a CSV")
+
+        monkeypatch.setattr(panelio, "read_table", refuse)
+        assert value_equal(panelio.load(tmp_path, "P"), p)
 
     @pytest.mark.parametrize("meta", [
         [], "P", 3, None,
@@ -336,7 +363,7 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="P.meta.json: bad metadata"):
             panelio.load(tmp_path, "P")
 
-    @pytest.mark.parametrize("name", ["P.csv", "P.meta.json"])
+    @pytest.mark.parametrize("name", ["P.meta.json"])
     def test_load_rejects_a_file_that_is_not_utf8(self, tmp_path, name):
         panelio.save(make_panel("P", ["1990-01"], ["a"], [[1.0]]), tmp_path)
         path = tmp_path / name
@@ -419,7 +446,7 @@ class TestLazyRegistry:
             assert lazy.provenance == loaded.provenance == reg.get(panel_id).provenance
             assert np.array_equal(lazy.values.view(np.int64), loaded.values.view(np.int64))
             assert restored.get(panel_id) is lazy
-        assert reads == [f"{panel_id}.csv" for panel_id in reg.ids()]
+        assert reads == [f"{panel_id}.npy" for panel_id in reg.ids()]
 
     def test_two_first_gets_parse_once(self, saved_chain, monkeypatch):
         directory, _ = saved_chain
@@ -428,20 +455,32 @@ class TestLazyRegistry:
         with ThreadPoolExecutor(max_workers=2) as pool:
             first, second = pool.map(restored.get, ["M", "M"], timeout=30)
         assert first is second
-        assert reads == ["M.csv"]
+        assert reads == ["M.npy"]
 
     def test_a_corrupt_value_file_fails_its_own_get_only(self, saved_chain):
         directory, _ = saved_chain
-        (directory / "A.csv").write_text("date,asset,value\n1990-01,x,oops\n")
+        (directory / "A.npy").write_bytes((directory / "A.npy").read_bytes()[:-4])
         restored = panelio.load_registry(directory)
         assert restored.get("Z").n_nonmissing() == 3
         for _ in range(2):  # a failed read leaves the panel unread, to fail again
-            with pytest.raises(DataError, match=r"A\.csv line 2: bad number 'oops'"):
+            with pytest.raises(DataError, match=r"A\.npy: cannot read: Failed to read all"):
                 restored.get("A")
         assert restored.provenance("A").op_name == "unary_op"
-        (directory / "M.csv").unlink()
-        with pytest.raises(DataError, match=r"M\.csv: cannot read"):
+        (directory / "M.npy").unlink()
+        with pytest.raises(DataError, match=r"missing file .*M\.npy"):
             restored.get("M")
+
+    @pytest.mark.parametrize("case", STORE_CORRUPTIONS)
+    def test_a_corrupt_store_fails_its_own_get_only(self, saved_chain, case):
+        directory, reg = saved_chain
+        corrupt, message = STORE_CORRUPTIONS[case]
+        corrupt(directory / "A.npy")
+        restored = panelio.load_registry(directory)
+        with pytest.raises(DataError) as exc:
+            restored.get("A")
+        assert str(directory / "A.npy") in str(exc.value) and message in str(exc.value)
+        for panel_id in ("Z", "M", "C"):
+            assert value_equal(restored.get(panel_id), reg.get(panel_id))
 
     @pytest.mark.parametrize("meta", [[], {**META, "panel_id": "Q"}, {**META, "dates": 5}])
     def test_malformed_metadata_fails_at_once(self, saved_chain, meta):
@@ -504,7 +543,7 @@ class TestExportGraph:
 
 
 def reference_save_text(panel: Panel) -> str:
-    """The per-cell writer that save's one-pass writer replaced."""
+    """The per-cell writer that export_csv's one-pass writer replaced."""
     lines = ["date,asset,value"]
     for i, period in enumerate(panel.dates):
         for j, asset in enumerate(panel.assets):
@@ -530,11 +569,13 @@ def test_save_load_round_trip_property(values, gaps, tmp_path_factory):
     ordinals = np.cumsum([month_ordinal("1990-01")] + gaps)[:len(values)]
     dates = DateIndex.from_ordinals(ordinals.tolist())
     p = make_panel("RT", dates.periods, ["a", "b", "c"], values)
-    csv_path, _ = panelio.save(p, tmp)
-    assert csv_path.read_text() == reference_save_text(p)
+    panelio.save(p, tmp)
+    assert panelio.export_csv(p, tmp).read_text() == reference_save_text(p)
     loaded = panelio.load(tmp, "RT")
     assert value_equal(loaded, p)
+    assert np.array_equal(loaded.values.view(np.int64), p.values.view(np.int64))
     again = tmp / "again"
     panelio.save(loaded, again)
-    for name in ("RT.csv", "RT.meta.json"):
+    panelio.export_csv(loaded, again)
+    for name in ("RT.npy", "RT.csv", "RT.meta.json"):
         assert (again / name).read_bytes() == (tmp / name).read_bytes()

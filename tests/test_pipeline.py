@@ -97,3 +97,22 @@ def test_an_unknown_recipe_or_step_key_is_refused(recipe, step, field):
     with pytest.raises(RecipeError) as exc:
         pipeline.parse_and_validate(recipe)
     assert (exc.value.step, exc.value.field) == (step, field)
+
+
+def test_an_override_the_recipe_does_not_declare_is_refused():
+    with pytest.raises(RecipeError) as exc:
+        pipeline.load_recipe("jkp_momentum", overrides={"mom_window": 6, "mom_windw": 6})
+    assert (exc.value.step, exc.value.field) == (None, "params")
+    assert str(exc.value) == ("params: unknown param 'mom_windw'; the recipe declares "
+                              "['mom_min_obs', 'mom_skip', 'mom_window']")
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"mom_window": 0}, "step 0: window: value 0 outside [1, inf)"),
+    ({"mom_skip": 13}, "step 0: window 12 must exceed skip 13"),
+    ({"mom_min_obs": 0}, "step 0: min_obs: value 0 outside [1, inf)"),
+])
+def test_an_argument_error_names_its_field_once(override, message):
+    with pytest.raises(RecipeError) as exc:
+        pipeline.load_recipe("jkp_momentum", overrides=override)
+    assert str(exc.value) == message

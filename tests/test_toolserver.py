@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from pathlib import Path
@@ -24,7 +25,7 @@ from factorlab.toolserver import (
 )
 
 from . import oracles
-from .conftest import nonmissing_cells
+from .conftest import STORE_CORRUPTIONS, nonmissing_cells
 from .test_pipeline import TOLERANCE
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -209,14 +210,14 @@ def test_load_source_refuses_a_path_outside_the_directory(server, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["not_an_object", "dates", "assets", "panel_id",
-                                  "provenance", "csv_not_utf8", "panel_id_differs"])
+                                  "provenance", "npy_truncated", "panel_id_differs"])
 def test_load_source_of_a_malformed_saved_panel_is_a_runtime_error(server, tmp_path, case):
     panelio.save(server.registry.get("S"), tmp_path)
     meta_path = tmp_path / "S.meta.json"
     meta = json.loads(meta_path.read_text())
-    if case == "csv_not_utf8":
-        csv_path = tmp_path / "S.csv"
-        csv_path.write_bytes(b"\xff" + csv_path.read_bytes())
+    if case == "npy_truncated":
+        npy_path = tmp_path / "S.npy"
+        npy_path.write_bytes(npy_path.read_bytes()[:-4])
     elif case == "not_an_object":
         meta_path.write_text(json.dumps([meta]))
     elif case == "panel_id_differs":
@@ -227,9 +228,40 @@ def test_load_source_of_a_malformed_saved_panel_is_a_runtime_error(server, tmp_p
     fresh = ToolServer()
     error = call(fresh, "load_source", {"directory": str(tmp_path), "panel_id": "S"})["error"]
     assert error["code"] == RUNTIME_ERROR
-    expected = "S.csv: cannot read" if case == "csv_not_utf8" else "S.meta.json: bad metadata"
+    expected = "S.npy: cannot read" if case == "npy_truncated" else "S.meta.json: bad metadata"
     assert expected in error["message"]
     assert fresh.registry.ids() == []
+
+
+@pytest.mark.parametrize("case", STORE_CORRUPTIONS)
+def test_load_source_of_a_corrupt_store_is_a_runtime_error_and_serve_lives(server, tmp_path,
+                                                                          case):
+    panelio.save(server.registry.get("S"), tmp_path)
+    panelio.save(server.registry.get("CAP"), tmp_path)
+    corrupt, message = STORE_CORRUPTIONS[case]
+    corrupt(tmp_path / "S.npy")
+    lines = [json.dumps({"jsonrpc": "2.0", "id": i, "method": "tools/call", "params": {
+        "name": "load_source", "arguments": {"directory": str(tmp_path), "panel_id": name}}})
+        for i, name in enumerate(["S", "CAP"])]
+    fresh, stdout = ToolServer(), io.StringIO()
+    fresh.serve(io.StringIO("\n".join(lines) + "\n"), stdout)
+    failed, loaded = map(json.loads, stdout.getvalue().splitlines())
+    assert failed["error"]["code"] == RUNTIME_ERROR
+    assert str(tmp_path / "S.npy") in failed["error"]["message"]
+    assert message in failed["error"]["message"]
+    assert loaded["result"]["panel_id"] == "CAP"
+    assert fresh.registry.ids() == ["CAP"]
+
+
+def test_save_panel_writes_the_store_that_load_source_reads(server, tmp_path):
+    response = call(server, "save_panel", {"panel_id": "CAP", "directory": str(tmp_path)})
+    assert response["result"] == {"files": [str(tmp_path / "CAP.npy"),
+                                            str(tmp_path / "CAP.meta.json")]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["CAP.meta.json", "CAP.npy"]
+    fresh = ToolServer()
+    call(fresh, "load_source", {"directory": str(tmp_path), "panel_id": "CAP"})
+    saved, loaded = server.registry.get("CAP").values, fresh.registry.get("CAP").values
+    assert np.array_equal(saved.view(np.int64), loaded.view(np.int64))
 
 
 def test_a_given_empty_registry_is_the_session_registry(source_panels):
