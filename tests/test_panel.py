@@ -321,6 +321,26 @@ class TestSaveLoad:
                                             r"1x1 metadata frame"):
             panelio.load(tmp_path, "P")
 
+    # A broken CSV export is named by line when read back as a keyed table,
+    # and load, which reads the store, is untouched by it.
+    def test_load_duplicate_cell_names_the_line(self, tmp_path):
+        p = make_panel("P", ["1990-01"], ["a", "b"], [[1.0, 2.0]])
+        panelio.save(p, tmp_path)
+        csv_path = panelio.export_csv(p, tmp_path)
+        csv_path.write_text(csv_path.read_text() + "\n1990-01,b,9.0\n")
+        with pytest.raises(DataError, match=r"line 5: duplicate key \(1990-01,b\)"):
+            panelio.read_table(csv_path, ["date", "asset"], ["value"])
+        assert value_equal(panelio.load(tmp_path, "P"), p)
+
+    def test_load_wrong_width_names_the_line(self, tmp_path):
+        p = make_panel("P", ["1990-01"], ["a", "b"], [[1.0, 2.0]])
+        panelio.save(p, tmp_path)
+        csv_path = panelio.export_csv(p, tmp_path)
+        csv_path.write_text(csv_path.read_text() + "1990-01,b\n")
+        with pytest.raises(DataError, match="line 4: expected 3 fields"):
+            panelio.read_table(csv_path, ["date", "asset"], ["value"])
+        assert value_equal(panelio.load(tmp_path, "P"), p)
+
     @pytest.mark.parametrize("case", STORE_CORRUPTIONS)
     def test_load_rejects_a_corrupt_store(self, tmp_path, case):
         corrupt, message = STORE_CORRUPTIONS[case]
