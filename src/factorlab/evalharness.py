@@ -9,7 +9,7 @@ per-task values across tasks.
 Alignment before comparison intersects dates (and assets, for panels) and
 drops pairs with a missing side; zero-filling would inflate the similarity
 of sparse outputs. Failed attempts enter with a configurable score, -1 by
-convention.
+convention. A manifest names a saved panel by the path of any of its files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import panel as panelio
 from .panel import Panel, reframe
 
 FAILED_ATTEMPT_SCORE = -1.0
-SAVED_PANEL_SUFFIXES = (".csv", ".npy", ".meta.json")  # the files of a saved panel
 
 
 def align(a: Panel, b: Panel) -> tuple[np.ndarray, np.ndarray]:
@@ -138,18 +137,10 @@ def evaluate_task(attempt_set: AttemptSet, ks,
 
 
 def _load_entry(path_str: str, base: Path):
-    """A saved panel referenced by the path of its ``<id>.csv`` export,
-    ``<id>.npy`` grid or ``<id>.meta.json``; all three load the store."""
+    """The saved panel that a path, relative to ``base`` unless absolute, is a file of."""
     if not isinstance(path_str, str):
         raise DataError(f"manifest entries must be paths, got {path_str!r}")
-    path = Path(path_str)
-    if not path.is_absolute():
-        path = base / path
-    for suffix in SAVED_PANEL_SUFFIXES:
-        if path.name.endswith(suffix):
-            return panelio.load(path.parent, path.name[:-len(suffix)])
-    raise DataError(f"manifest entries must point at a saved panel's "
-                    f"{', '.join(SAVED_PANEL_SUFFIXES)} file, got {path}")
+    return panelio.load(*panelio.saved_panel_at(base / path_str))
 
 
 def load_manifest(manifest_path) -> list[AttemptSet]:

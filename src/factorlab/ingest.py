@@ -5,21 +5,126 @@ NYSE listing flag; the annual file carries accounting fundamentals placed at
 fiscal-year-end months. Ingestion screens anomalous values (negative market
 equity, returns at or below -100%) into missing cells and counts the
 removals. Delisting-return and share-class conventions are assumed to be
-already reflected in the input files.
+already reflected in the input files. ``read_table`` is the one reader of
+these CSVs; a name that would drop data or escape a file is a ``DataError``.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
+from itertools import compress
+from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .panel import DateIndex, Panel, read_table, reframe
+from .panel import DateIndex, Panel, is_panel_id, month_ordinal, reframe
 from .transforms import align_panels, annual_to_monthly, window_steps
 
 MONTHLY_HEADER = ["date", "asset_id", "ret", "cap", "capco", "exchange_nyse"]
+MONTHLY_PANELS = ("RET", "CAP", "CAPCO", "NYSE")  # one per value column of MONTHLY_HEADER
 ANNUAL_KEY_COLUMNS = ["fiscal_end", "asset_id"]
+_NEEDS_QUOTES = frozenset(',"\r\n')  # a CSV field holds these only when quoted
+
+
+class Table(NamedTuple):
+    """Sorted periods x sorted asset ids of a keyed CSV, with one grid per value column
+    (NaN where a cell has no row or a blank field) and ``keyed``, the cells with a row."""
+
+    dates: DateIndex
+    assets: tuple[str, ...]
+    grids: dict[str, np.ndarray]
+    keyed: np.ndarray
+
+
+def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) -> Table:
+    """Parse a "period, asset, values..." CSV column by column.
+
+    Header fields are compared stripped. With ``columns`` the header must be
+    exactly ``keys + columns``; without, every field after the keys is a value
+    column, and no field may repeat. Blank lines are skipped, keys are stripped,
+    values follow Python ``float`` and a blank value is missing. A bad row width,
+    period or number, an asset id that is empty or needs CSV quoting, or a
+    duplicate key raises ``DataError`` naming the line.
+    """
+    path, keys = Path(path), list(keys)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, skipinitialspace=True)
+            header = [h.strip() for h in next(reader, [])]
+            records = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
+    expected = keys + list(columns or ["..."])
+    if (header != expected if columns is not None
+            else header[:len(keys)] != keys or len(header) == len(keys)):
+        raise DataError(f"{path}: expected header {','.join(expected)}")
+    repeated = [name for k, name in enumerate(header) if name in header[:k]]
+    if repeated:
+        raise DataError(f"{path}: column {repeated[0]!r} appears twice in the header")
+
+    width = np.fromiter(map(len, records), np.int64, len(records))
+    lines = np.flatnonzero(width) + 2  # file line of each non-blank record
+    bad = np.flatnonzero(width[width > 0] != len(header))
+    if bad.size:
+        raise DataError(f"{path} line {lines[bad[0]]}: expected {len(header)} fields")
+    fields = np.array(list(compress(records, width)), dtype=object).reshape(-1, len(header)).T
+    del records  # the field array now holds the only references to the text
+
+    labels, first, inverse = np.unique(fields[0].astype(str), return_index=True,
+                                       return_inverse=True)
+    ordinals = np.zeros(len(labels), dtype=np.int64)
+    for k in np.argsort(first):  # labels in file order: the earliest bad line is named
+        try:
+            ordinals[k] = month_ordinal(labels[k].strip())
+        except DataError as exc:
+            raise DataError(f"{path} line {lines[first[k]]}: {exc}") from None
+    dates, row = np.unique(ordinals[inverse], return_inverse=True)
+    labels, inverse = np.unique(fields[1].astype(str), return_inverse=True)
+    stripped = np.array([label.strip() for label in labels.tolist()], dtype=str)
+    assets, col = np.unique(stripped[inverse], return_inverse=True)
+    if assets[:1].tolist() == [""]:
+        raise DataError(f"{path} line {lines[np.argmax(col == 0)]}: empty {keys[1]}")
+    unwritable = [j for j, a in enumerate(assets.tolist()) if not _NEEDS_QUOTES.isdisjoint(a)]
+    if unwritable:  # the CSV export writes asset ids unquoted
+        k = np.argmax(np.isin(col, unwritable))
+        raise DataError(f"{path} line {lines[k]}: {keys[1]} {str(assets[col[k]])!r} "
+                        f"holds a comma, quote or line break")
+    flat = row * len(assets) + col
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][np.diff(flat[order]) == 0]
+    if repeats.size:
+        k = repeats.min()
+        raise DataError(f"{path} line {lines[k]}: duplicate key "
+                        f"({fields[0][k].strip()},{fields[1][k].strip()})")
+
+    keyed = np.zeros((len(dates), len(assets)), dtype=bool)
+    keyed[row, col] = True
+    grids = {}
+    for name, raw in zip(header[len(keys):], fields[len(keys):]):
+        grids[name] = np.full(keyed.shape, np.nan)
+        grids[name][row, col] = _numbers(raw, path, name, lines)
+    return Table(DateIndex.from_ordinals(dates.tolist()), tuple(assets.tolist()), grids, keyed)
+
+
+def _numbers(raw: np.ndarray, path: Path, column: str, lines: np.ndarray) -> np.ndarray:
+    """An object array of field strings as float64; a blank field is NaN."""
+    raw[raw == ""] = "nan"
+    try:
+        return raw.astype(np.float64)  # numpy applies Python's float() to each string
+    except ValueError:
+        pass
+    for k, text in enumerate(raw.tolist()):  # rare: a field of tabs, or a bad number
+        try:
+            float(text)
+        except ValueError:
+            if not text.isspace():
+                raise DataError(f"{path} line {lines[k]}: bad number {text.strip()!r} "
+                                f"in column {column}") from None
+            raw[k] = "nan"
+    return raw.astype(np.float64)
 
 
 @dataclass
@@ -43,15 +148,16 @@ def ingest_monthly(csv_path) -> IngestResult:
     ret, cap, capco, nyse = (table.grids[c] for c in MONTHLY_HEADER[2:])
     odd = ~np.isnan(nyse) & (nyse != 0.0) & (nyse != 1.0)
     if odd.any():
-        raise DataError(
-            f"{table.path}: exchange_nyse must be 0 or 1, cell {table.first_cell(odd)}")
+        i, j = np.argwhere(odd)[0]  # the first cell in date-major order
+        raise DataError(f"{csv_path}: exchange_nyse must be 0 or 1, "
+                        f"cell ({table.dates[i]},{table.assets[j]})")
     removed = {}
     for column, screened in (("ret", ret <= -1.0), ("cap", cap < 0), ("capco", capco < 0)):
         removed[column] = int(np.count_nonzero(screened))
         table.grids[column][screened] = np.nan
     panels = {name: Panel.source(name, table.dates, table.assets, table.grids[column],
-                                 params={"file": table.path.name})
-              for name, column in zip(("RET", "CAP", "CAPCO", "NYSE"), MONTHLY_HEADER[2:])}
+                                 params={"file": Path(csv_path).name})
+              for name, column in zip(MONTHLY_PANELS, MONTHLY_HEADER[2:])}
     return IngestResult(panels=panels, n_rows=int(np.count_nonzero(table.keyed)),
                         removed=removed)
 
@@ -62,19 +168,27 @@ def ingest_annual(csv_path, frame: tuple[DateIndex, tuple[str, ...]] | None = No
     Values sit at the fiscal_end month; downstream timing goes through
     annual_to_monthly. When a (dates, assets) frame from the monthly file is
     given, observations outside it are skipped and counted; otherwise the
-    frame comes from the file itself.
+    frame comes from the file itself. A column's upper-cased name must be a free panel id.
     """
     table = read_table(csv_path, ANNUAL_KEY_COLUMNS)
+    taken = set(MONTHLY_PANELS)
+    for col in table.grids:
+        if col.upper() in taken:
+            raise DataError(f"{csv_path}: column {col!r} would replace the panel {col.upper()}")
+        if not is_panel_id(col.upper()):
+            raise DataError(f"{csv_path}: column {col!r} is not a panel id")
+        taken.add(col.upper())
     dates, assets = frame or (table.dates, table.assets)
     panels = {
         col.upper(): Panel.source(
             col.upper(), dates, assets,
             reframe(grid, table.dates, dates, table.assets, assets),
-            params={"file": table.path.name, "column": col})
+            params={"file": Path(csv_path).name, "column": col})
         for col, grid in table.grids.items()
     }
+    inside = np.outer(np.isin(table.dates.ordinals, dates.ordinals), np.isin(table.assets, assets))
     return IngestResult(panels=panels, n_rows=int(np.count_nonzero(table.keyed)),
-                        skipped_rows=int(np.count_nonzero(table.outside(dates, assets))))
+                        skipped_rows=int(np.count_nonzero(table.keyed & ~inside)))
 
 
 def ingest_dataset(monthly_csv, annual_csv) -> IngestResult:
@@ -82,14 +196,9 @@ def ingest_dataset(monthly_csv, annual_csv) -> IngestResult:
     monthly = ingest_monthly(monthly_csv)
     some_panel = next(iter(monthly.panels.values()))
     annual = ingest_annual(annual_csv, frame=(some_panel.dates, some_panel.assets))
-    panels = dict(monthly.panels)
-    panels.update(annual.panels)
-    return IngestResult(
-        panels=panels,
-        n_rows=monthly.n_rows + annual.n_rows,
-        removed=monthly.removed,
-        skipped_rows=annual.skipped_rows,
-    )
+    return IngestResult(panels={**monthly.panels, **annual.panels},
+                        n_rows=monthly.n_rows + annual.n_rows,
+                        removed=monthly.removed, skipped_rows=annual.skipped_rows)
 
 
 def book_equity(seq: Panel, pstkrv: Panel, pstkl: Panel, pstk: Panel) -> Panel:

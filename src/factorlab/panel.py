@@ -15,7 +15,6 @@ one derive it like any other panel, so a series carries provenance from the
 start, and consumers read its column with ``values[:, 0]``.
 
 ``reframe`` is the one frame mapper for a grid or series on another frame.
-``read_table`` is the one keyed-CSV reader, for the ingest files.
 
 A saved panel is its store: ``<id>.meta.json`` (frame and provenance) and
 ``<id>.npy`` (the float64 grid, written and read without pickles), so a
@@ -24,17 +23,17 @@ checks the grid against the metadata frame, and ``read_grid`` is its one
 reader. ``export_csv`` writes the long-form ``<id>.csv`` for people and other
 tools; nothing here reads it back. ``load_registry`` reads only the metadata
 of saved panels; a panel's grid is read on its first ``PanelRegistry.get``.
+Only this module names these files: the store refuses an id that is not a
+panel id, and ``saved_panel_at`` maps a file back to its panel.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -42,10 +41,16 @@ import numpy as np
 
 from .errors import DataError, RegistryError
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.\-]*$")
+_ID_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 SERIES_ASSET = "value"
+_STORE_SUFFIXES = (".csv", ".npy", ".meta.json")  # the files of a saved panel, export included
+
+
+def is_panel_id(text: str) -> bool:
+    """Whether ``text`` may name a panel, and so be the stem of its file names."""
+    return _ID_RE.fullmatch(text) is not None
 
 
 def month_ordinal(period: str) -> int:
@@ -363,7 +368,7 @@ class PanelRegistry:
                 panel_id = name
             else:
                 panel_id = f"_{self._counter}"
-            if not _ID_RE.match(panel_id):
+            if not is_panel_id(panel_id):
                 raise RegistryError(f"invalid panel id {panel_id!r}")
             self._panels[panel_id] = replace(
                 panel, panel_id=panel_id,
@@ -383,115 +388,11 @@ class PanelRegistry:
 # -- persistence -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table:
-    """A keyed CSV on its own frame, sorted unique periods x sorted asset ids.
-
-    ``grids`` holds one grid per value column, NaN where a cell has no row or
-    a blank field; ``keyed`` marks the cells that have a row.
-    """
-
-    path: Path
-    dates: DateIndex
-    assets: tuple[str, ...]
-    grids: dict[str, np.ndarray]
-    keyed: np.ndarray
-
-    def outside(self, dates: DateIndex, assets: Sequence[str]) -> np.ndarray:
-        """Keyed cells whose period or asset is not in the ``dates`` x ``assets`` frame."""
-        ones = np.ones((len(dates), len(assets)))
-        return self.keyed & (reframe(ones, dates, self.dates, assets, self.assets) != 1.0)
-
-    def first_cell(self, mask: np.ndarray) -> str:
-        """``(period,asset)`` of the first marked cell in date-major order."""
-        i, j = np.argwhere(mask)[0]
-        return f"({self.dates[i]},{self.assets[j]})"
-
-
-def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) -> Table:
-    """Parse a "period, asset, values..." CSV column by column.
-
-    Header fields are compared stripped. With ``columns`` the header must be
-    exactly ``keys + columns``; without, every field after the keys is a value
-    column. Blank lines are skipped, keys are stripped, values follow Python
-    ``float`` and a blank value is missing. A bad row width, period, asset id
-    or number, or a duplicate key, raises ``DataError`` naming the line.
-    """
-    path, keys = Path(path), list(keys)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, skipinitialspace=True)
-            header = [h.strip() for h in next(reader, [])]
-            records = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: cannot read: {exc}") from exc
-    expected = keys + list(columns or ["..."])
-    if (header != expected if columns is not None
-            else header[:len(keys)] != keys or len(header) == len(keys)):
-        raise DataError(f"{path}: expected header {','.join(expected)}")
-
-    width = np.fromiter(map(len, records), np.int64, len(records))
-    lines = np.flatnonzero(width) + 2  # file line of each non-blank record
-    bad = np.flatnonzero(width[width > 0] != len(header))
-    if bad.size:
-        raise DataError(f"{path} line {lines[bad[0]]}: expected {len(header)} fields")
-    fields = np.array(list(compress(records, width)), dtype=object).reshape(-1, len(header)).T
-    del records  # the field array now holds the only references to the text
-
-    labels, first, inverse = np.unique(fields[0].astype(str), return_index=True,
-                                       return_inverse=True)
-    ordinals = np.zeros(len(labels), dtype=np.int64)
-    for k in np.argsort(first):  # labels in file order: the earliest bad line is named
-        try:
-            ordinals[k] = month_ordinal(labels[k].strip())
-        except DataError as exc:
-            raise DataError(f"{path} line {lines[first[k]]}: {exc}") from None
-    dates, row = np.unique(ordinals[inverse], return_inverse=True)
-    labels, inverse = np.unique(fields[1].astype(str), return_inverse=True)
-    stripped = np.array([label.strip() for label in labels.tolist()], dtype=str)
-    assets, col = np.unique(stripped[inverse], return_inverse=True)
-    if assets[:1].tolist() == [""]:
-        raise DataError(f"{path} line {lines[np.argmax(col == 0)]}: empty {keys[1]}")
-    flat = row * len(assets) + col
-    order = np.argsort(flat, kind="stable")
-    repeats = order[1:][np.diff(flat[order]) == 0]
-    if repeats.size:
-        k = repeats.min()
-        raise DataError(f"{path} line {lines[k]}: duplicate key "
-                        f"({fields[0][k].strip()},{fields[1][k].strip()})")
-
-    keyed = np.zeros((len(dates), len(assets)), dtype=bool)
-    keyed[row, col] = True
-    grids = {}
-    for name, raw in zip(header[len(keys):], fields[len(keys):]):
-        grids[name] = np.full(keyed.shape, np.nan)
-        grids[name][row, col] = _numbers(raw, path, name, lines)
-    return Table(path, DateIndex.from_ordinals(dates.tolist()), tuple(assets.tolist()),
-                 grids, keyed)
-
-
-def _numbers(raw: np.ndarray, path: Path, column: str, lines: np.ndarray) -> np.ndarray:
-    """An object array of field strings as float64; a blank field is NaN."""
-    raw[raw == ""] = "nan"
-    try:
-        return raw.astype(np.float64)  # numpy applies Python's float() to each string
-    except ValueError:
-        pass
-    for k, text in enumerate(raw.tolist()):  # rare: a field of tabs, or a bad number
-        try:
-            float(text)
-        except ValueError:
-            if not text.isspace():
-                raise DataError(f"{path} line {lines[k]}: bad number {text.strip()!r} "
-                                f"in column {column}") from None
-            raw[k] = "nan"
-    return raw.astype(np.float64)
-
-
 def save(panel: Panel, directory) -> list[Path]:
     """Write the panel's store: ``<id>.npy`` (the float64 grid, by ``np.save``
     without pickles) and ``<id>.meta.json`` (frame and provenance)."""
-    directory = _panel_dir(panel, directory)
+    directory = _store_dir(directory, panel.panel_id)
+    directory.mkdir(parents=True, exist_ok=True)
     npy_path = directory / f"{panel.panel_id}.npy"
     meta_path = directory / f"{panel.panel_id}.meta.json"
     with npy_path.open("wb") as fh:
@@ -512,7 +413,9 @@ def export_csv(panel: Panel, directory) -> Path:
     """Write ``<id>.csv``: long form ``date,asset,value`` in date-major order,
     missing cells omitted and values in shortest round-trip form. It is an
     export for people and other tools; ``load`` never reads it."""
-    csv_path = _panel_dir(panel, directory) / f"{panel.panel_id}.csv"
+    directory = _store_dir(directory, panel.panel_id)
+    directory.mkdir(parents=True, exist_ok=True)
+    csv_path = directory / f"{panel.panel_id}.csv"
     i, j = np.nonzero(~np.isnan(panel.values))
     cells = map("{},{},{!r}".format,
                 np.array(panel.dates.periods, dtype=object)[i].tolist(),
@@ -522,20 +425,25 @@ def export_csv(panel: Panel, directory) -> Path:
     return csv_path
 
 
-def _panel_dir(panel: Panel, directory) -> Path:
-    """``directory``, created if needed, for the files of a registered panel."""
-    if not panel.panel_id:
-        raise DataError("cannot save an unregistered panel without an id")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def _read_meta(directory: Path, panel_id: str) -> tuple[DateIndex, tuple, ProvenanceRecord]:
-    """The checked frame and provenance in a saved panel's ``<id>.meta.json``."""
-    if not _ID_RE.match(panel_id):
+def _store_dir(directory, panel_id: str) -> Path:
+    """``directory``, once ``panel_id`` is known to name files only inside it."""
+    if not is_panel_id(panel_id):
         raise DataError(f"invalid panel id {panel_id!r}")
-    meta_path = directory / f"{panel_id}.meta.json"
+    return Path(directory)
+
+
+def saved_panel_at(path) -> tuple[Path, str]:
+    """The directory and id of the saved panel that ``path`` is one of the files of."""
+    path = Path(path)
+    for suffix in _STORE_SUFFIXES:
+        if path.name.endswith(suffix):
+            return path.parent, path.name[:-len(suffix)]
+    raise DataError(f"expected a saved panel's {', '.join(_STORE_SUFFIXES)} file, got {path}")
+
+
+def _read_meta(directory, panel_id: str) -> tuple[DateIndex, tuple, ProvenanceRecord]:
+    """The checked frame and provenance in a saved panel's ``<id>.meta.json``."""
+    meta_path = _store_dir(directory, panel_id) / f"{panel_id}.meta.json"
     if not meta_path.exists():
         raise DataError(f"missing file {meta_path}")
     try:
@@ -577,9 +485,8 @@ def read_grid(path: Path, shape: tuple[int, int]) -> np.ndarray:
 
 def load(directory, panel_id: str) -> Panel:
     """Rebuild a saved panel bit-exactly from its ``<id>.meta.json`` and ``<id>.npy``."""
-    directory = Path(directory)
     dates, assets, provenance = _read_meta(directory, panel_id)
-    values = read_grid(directory / f"{panel_id}.npy", (len(dates), len(assets)))
+    values = read_grid(Path(directory) / f"{panel_id}.npy", (len(dates), len(assets)))
     return Panel(panel_id, dates, assets, values, provenance)
 
 

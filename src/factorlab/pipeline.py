@@ -220,18 +220,10 @@ def make_spread_builder(spec: PipelineSpec, sources: Mapping[str, Panel],
         raise RecipeError(f"recipe {spec.name!r} has no output {output!r}")
 
     def build(universe: Panel | None) -> Panel:
-        restricted = {}
-        for name in spec.sources:
-            panel = sources[name]
-            if universe is None:
-                restricted[name] = panel
-            else:
-                masked = transforms.mask(panel, universe)
-                restricted[name] = Panel.source(name, masked.dates, masked.assets,
-                                                masked.values)
-        registry, result = run_recipe(spec, restricted)
-        panel_id = result.outputs[output]
-        return registry.get(panel_id).to_series()
+        restricted = sources if universe is None else {
+            name: transforms.mask(sources[name], universe) for name in spec.sources}
+        registry, result = run_recipe(spec, restricted)  # which re-roots each masked panel
+        return registry.get(result.outputs[output]).to_series()
 
     return build
 

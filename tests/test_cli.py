@@ -291,6 +291,24 @@ def test_every_store_corruption_is_a_validation_error(workdir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column", ["../../x", "cap", "seq"])
+def test_an_annual_column_that_cannot_be_its_own_panel_writes_nothing(workdir, tmp_path,
+                                                                      capsys, column):
+    directory, _ = workdir
+    data = tmp_path / "a" / "b" / "data"
+    data.mkdir(parents=True)
+    (data / "monthly.csv").write_bytes((directory / "monthly.csv").read_bytes())
+    annual = (directory / "annual.csv").read_text().split("\n", 1)
+    assert annual[0].endswith(",pstk")
+    (data / "annual.csv").write_text(annual[0][:-len("pstk")] + column + "\n" + annual[1])
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(data), "--out-dir", str(data / "out"), "ingest"])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert f"column '{column}'" in only_error_line(capsys.readouterr().err)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_ingest_and_run_export_each_saved_panel_as_csv(workdir, tmp_path):
     directory, _ = workdir
     metas = sorted(directory.glob("*.meta.json"))

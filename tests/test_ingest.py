@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,15 @@ class TestIngestMonthly:
         with pytest.raises(DataError, match=r"exchange_nyse must be 0 or 1, cell \(1990-02,a\)"):
             ingest_monthly(f)
 
+    @pytest.mark.parametrize("asset", ["A,B", 'A"B', "A\nB", "A\rB"])
+    def test_an_asset_id_the_export_cannot_write_names_the_line(self, tmp_path, asset):
+        f = tmp_path / "m.csv"
+        field = '"' + asset.replace('"', '""') + '"'
+        write_monthly(f, ["1990-01,a,0.01,5,5,1", "", f"1990-01,{field},0.01,5,5,1"])
+        with pytest.raises(DataError, match=re.escape(
+                f"line 4: asset_id {asset!r} holds a comma, quote or line break")):
+            ingest_monthly(f)
+
     def test_non_utf8_file_is_a_data_error(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_bytes(b"date,asset_id,ret,cap,capco,exchange_nyse\n1990-01,\xff,0,5,5,1\n")
@@ -150,6 +160,23 @@ class TestIngestAnnual:
         f = tmp_path / "a.csv"
         write_annual(f, ["1990-12,a,100,,,", "1991-12,a,100,,,", "", "1990-12, a ,90,,,"])
         with pytest.raises(DataError, match=r"line 5: duplicate key \(1990-12,a\)"):
+            ingest_annual(f)
+
+    @pytest.mark.parametrize("column, message", [
+        ("seq", "column 'seq' appears twice in the header"),
+        ("asset_id", "column 'asset_id' appears twice in the header"),
+        ("SEQ", "column 'SEQ' would replace the panel SEQ"),
+        ("cap", "column 'cap' would replace the panel CAP"),
+        ("Nyse", "column 'Nyse' would replace the panel NYSE"),
+        ("../../escaped", "column '../../escaped' is not a panel id"),
+        ("", "column '' is not a panel id"),
+    ])
+    def test_a_column_that_cannot_be_its_own_panel_is_refused(self, tmp_path, column,
+                                                               message):
+        f = tmp_path / "a.csv"
+        write_annual(f, ["1990-12,a,100,,,"], header=f"fiscal_end,asset_id,seq,pstkrv,pstkl,"
+                                                     f"{column}")
+        with pytest.raises(DataError, match=re.escape(f"{f}: {message}")):
             ingest_annual(f)
 
 

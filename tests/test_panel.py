@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factorlab import ingest
 from factorlab import panel as panelio
 from factorlab import transforms
 from factorlab.errors import DataError, RegistryError
@@ -230,7 +231,7 @@ class TestReadTable:
     def test_value_columns_follow_the_keys(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("d,id,x,y\n1990-03,b,1,\n1990-01,a,2,3\n")
-        table = panelio.read_table(f, ["d", "id"])
+        table = ingest.read_table(f, ["d", "id"])
         assert table.dates.periods == ("1990-01", "1990-03")
         assert table.assets == ("a", "b")
         assert list(table.grids) == ["x", "y"]
@@ -247,17 +248,17 @@ class TestReadTable:
         f = tmp_path / "t.csv"
         f.write_text(header + "\n")
         with pytest.raises(DataError, match=message):
-            panelio.read_table(f, ["d", "id"], columns)
+            ingest.read_table(f, ["d", "id"], columns)
 
     def test_bad_number_names_the_line_and_column(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text("d,id,x,y\n1990-01,a,1,2\n\n1990-02,a,3,0x1\n")
         with pytest.raises(DataError, match=r"line 4: bad number '0x1' in column y"):
-            panelio.read_table(f, ["d", "id"])
+            ingest.read_table(f, ["d", "id"])
 
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
-            panelio.read_table(tmp_path / "none.csv", ["d", "id"])
+            ingest.read_table(tmp_path / "none.csv", ["d", "id"])
 
 
 class TestSaveLoad:
@@ -306,12 +307,17 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="missing file"):
             panelio.load(tmp_path, "NOPE")
 
-    @pytest.mark.parametrize("panel_id", ["../x", "a/b", "/etc/passwd", ".hidden", ""])
+    @pytest.mark.parametrize("panel_id", ["../x", "a/b", "/etc/passwd", ".hidden", "", "x\n"])
     def test_load_rejects_ids_that_are_not_panel_ids(self, tmp_path, panel_id):
         inner = tmp_path / "inner"
         panelio.save(make_panel("x", ["1990-01"], ["a"], [[1.0]]), tmp_path)
-        with pytest.raises(DataError, match="invalid panel id"):
-            panelio.load(inner, panel_id)
+        files = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+        bad = make_panel(panel_id, ["1990-01"], ["a"], [[2.0]])
+        for store in (panelio.load, lambda d, i: panelio.save(bad, d),
+                      lambda d, i: panelio.export_csv(bad, d)):
+            with pytest.raises(DataError, match=re.escape(f"invalid panel id {panel_id!r}")):
+                store(inner, panel_id)
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == files
 
     def test_load_rejects_cell_outside_frame(self, tmp_path):
         p = make_panel("P", ["1990-01"], ["a"], [[1.0]])
@@ -329,7 +335,7 @@ class TestSaveLoad:
         csv_path = panelio.export_csv(p, tmp_path)
         csv_path.write_text(csv_path.read_text() + "\n1990-01,b,9.0\n")
         with pytest.raises(DataError, match=r"line 5: duplicate key \(1990-01,b\)"):
-            panelio.read_table(csv_path, ["date", "asset"], ["value"])
+            ingest.read_table(csv_path, ["date", "asset"], ["value"])
         assert value_equal(panelio.load(tmp_path, "P"), p)
 
     def test_load_wrong_width_names_the_line(self, tmp_path):
@@ -338,7 +344,7 @@ class TestSaveLoad:
         csv_path = panelio.export_csv(p, tmp_path)
         csv_path.write_text(csv_path.read_text() + "1990-01,b\n")
         with pytest.raises(DataError, match="line 4: expected 3 fields"):
-            panelio.read_table(csv_path, ["date", "asset"], ["value"])
+            ingest.read_table(csv_path, ["date", "asset"], ["value"])
         assert value_equal(panelio.load(tmp_path, "P"), p)
 
     @pytest.mark.parametrize("case", STORE_CORRUPTIONS)
@@ -367,7 +373,7 @@ class TestSaveLoad:
         def refuse(*args, **kwargs):
             raise AssertionError("load parsed a CSV")
 
-        monkeypatch.setattr(panelio, "read_table", refuse)
+        monkeypatch.setattr(ingest, "read_table", refuse)
         assert value_equal(panelio.load(tmp_path, "P"), p)
 
     @pytest.mark.parametrize("meta", [
