@@ -66,10 +66,10 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
         raise DataError(f"{path}: column {repeated[0]!r} appears twice in the header")
 
     width = np.fromiter(map(len, records), np.int64, len(records))
-    lines = np.flatnonzero(width) + 2  # file line of each non-blank record
+    numbered = np.flatnonzero(width)  # the record number of each non-blank record
     bad = np.flatnonzero(width[width > 0] != len(header))
     if bad.size:
-        raise DataError(f"{path} line {lines[bad[0]]}: expected {len(header)} fields")
+        raise DataError(f"{_where(path, numbered, bad[0])}: expected {len(header)} fields")
     fields = np.array(list(compress(records, width)), dtype=object).reshape(-1, len(header)).T
     del records  # the field array now holds the only references to the text
 
@@ -80,24 +80,24 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
         try:
             ordinals[k] = month_ordinal(labels[k].strip())
         except DataError as exc:
-            raise DataError(f"{path} line {lines[first[k]]}: {exc}") from None
+            raise DataError(f"{_where(path, numbered, first[k])}: {exc}") from None
     dates, row = np.unique(ordinals[inverse], return_inverse=True)
     labels, inverse = np.unique(fields[1].astype(str), return_inverse=True)
     stripped = np.array([label.strip() for label in labels.tolist()], dtype=str)
     assets, col = np.unique(stripped[inverse], return_inverse=True)
     if assets[:1].tolist() == [""]:
-        raise DataError(f"{path} line {lines[np.argmax(col == 0)]}: empty {keys[1]}")
+        raise DataError(f"{_where(path, numbered, np.argmax(col == 0))}: empty {keys[1]}")
     unwritable = [j for j, a in enumerate(assets.tolist()) if not _NEEDS_QUOTES.isdisjoint(a)]
     if unwritable:  # the CSV export writes asset ids unquoted
         k = np.argmax(np.isin(col, unwritable))
-        raise DataError(f"{path} line {lines[k]}: {keys[1]} {str(assets[col[k]])!r} "
+        raise DataError(f"{_where(path, numbered, k)}: {keys[1]} {str(assets[col[k]])!r} "
                         f"holds a comma, quote or line break")
     flat = row * len(assets) + col
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][np.diff(flat[order]) == 0]
     if repeats.size:
         k = repeats.min()
-        raise DataError(f"{path} line {lines[k]}: duplicate key "
+        raise DataError(f"{_where(path, numbered, k)}: duplicate key "
                         f"({fields[0][k].strip()},{fields[1][k].strip()})")
 
     keyed = np.zeros((len(dates), len(assets)), dtype=bool)
@@ -105,11 +105,22 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
     grids = {}
     for name, raw in zip(header[len(keys):], fields[len(keys):]):
         grids[name] = np.full(keyed.shape, np.nan)
-        grids[name][row, col] = _numbers(raw, path, name, lines)
+        grids[name][row, col] = _numbers(raw, path, name, numbered)
     return Table(DateIndex.from_ordinals(dates.tolist()), tuple(assets.tolist()), grids, keyed)
 
 
-def _numbers(raw: np.ndarray, path: Path, column: str, lines: np.ndarray) -> np.ndarray:
+def _where(path: Path, numbered: np.ndarray, k: int) -> str:
+    """``<path> line <n>`` for the ``k``-th non-blank record, whose record number
+    (0 is the first after the header) is ``numbered[k]``. A quoted field may span
+    lines, so only a new read of the file finds the line; errors alone need it."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, skipinitialspace=True)
+        for _ in range(int(numbered[k]) + 1):  # the header and the records before
+            next(reader)
+        return f"{path} line {reader.line_num + 1}"
+
+
+def _numbers(raw: np.ndarray, path: Path, column: str, numbered: np.ndarray) -> np.ndarray:
     """An object array of field strings as float64; a blank field is NaN."""
     raw[raw == ""] = "nan"
     try:
@@ -121,7 +132,7 @@ def _numbers(raw: np.ndarray, path: Path, column: str, lines: np.ndarray) -> np.
             float(text)
         except ValueError:
             if not text.isspace():
-                raise DataError(f"{path} line {lines[k]}: bad number {text.strip()!r} "
+                raise DataError(f"{_where(path, numbered, k)}: bad number {text.strip()!r} "
                                 f"in column {column}") from None
             raw[k] = "nan"
     return raw.astype(np.float64)

@@ -3,7 +3,10 @@
 The pipeline interpreter validates recipe steps against these specs, and the
 tool server derives its callable-tool descriptors from the same table, so
 static validation and the wire schema cannot drift apart. Both run a step
-through ``apply_step``, so they compute, check and record it the same way.
+through ``apply_step``, so they compute, check and record it the same way,
+and both share the registry's step-reuse map: a step already computed in the
+session, on the same op, canonical arguments and input contents, registers
+a new panel sharing the first output's grid instead of running again.
 ``validate_args`` is the one check of an operator's arguments: the functions
 trust what it returns and check only the data.
 The tool server declares and checks its non-operator tools with the same
@@ -22,6 +25,7 @@ a per-date scalar series return a one-column panel.
 from __future__ import annotations
 
 import inspect
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -216,33 +220,57 @@ def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args:
     StepExecutionError; whatever the operator's function raises propagates
     unchanged. The record holds the output's shape, non-missing cell and
     month counts, wall time and the function's flags.
+
+    A step the registry has computed before, with the same op, canonical
+    arguments and input contents (``PanelRegistry.step_key``), is not
+    computed again: the registry registers a new panel with its own id and
+    provenance that shares the first output's grid, and the record replays
+    the first computation's counts and flags. A step that raised is not
+    remembered, so its next call computes it again.
     """
     spec = get_operator(op)
     normalized = validate_args(spec, args, len(input_ids))
-    try:
-        panels = [registry.get(pid) for pid in input_ids]
-    except RegistryError as exc:
-        raise ArgError(str(exc), "inputs") from exc
+    input_ids = tuple(input_ids)
+    key = None if op in _NOT_REUSED else registry.step_key(
+        op, json.dumps(normalized, sort_keys=True), input_ids)
     started = time.perf_counter()
-    flags: list[str] = []
-    out = execute_operator(spec, panels, normalized, flags)
-    live = ~np.isnan(out.values)
-    n_nonmissing = int(np.count_nonzero(live))
-    if n_nonmissing == 0:
-        raise StepExecutionError(f"op {op!r} produced no non-missing values")
     try:
-        panel_id = registry.register(out, name=name)
+        reused = key is not None and registry.reuse(key, input_ids, name)
     except RegistryError as exc:
         raise ArgError(str(exc), "name") from exc
+    if reused:
+        panel_id, (counts, flags) = reused
+    else:
+        try:
+            panels = [registry.get(pid) for pid in input_ids]
+        except RegistryError as exc:
+            raise ArgError(str(exc), "inputs") from exc
+        started = time.perf_counter()
+        flags = []
+        out = execute_operator(spec, panels, normalized, flags)
+        live = ~np.isnan(out.values)
+        n_nonmissing = int(np.count_nonzero(live))
+        if n_nonmissing == 0:
+            raise StepExecutionError(f"op {op!r} produced no non-missing values")
+        try:
+            panel_id = registry.register(out, name=name)
+        except RegistryError as exc:
+            raise ArgError(str(exc), "name") from exc
+        counts = {
+            "n_dates": out.n_dates,
+            "n_assets": out.n_assets,
+            "n_nonmissing": n_nonmissing,
+            "n_months_nonnull": int(np.count_nonzero(live.any(axis=1))),
+        }
+        flags = tuple(flags)
+        if key is not None:
+            registry.remember(key, panel_id, input_ids, (counts, flags))
     return panel_id, {
         "op": op,
         "panel_id": panel_id,
-        "n_dates": out.n_dates,
-        "n_assets": out.n_assets,
-        "n_nonmissing": n_nonmissing,
-        "n_months_nonnull": int(np.count_nonzero(live.any(axis=1))),
+        **counts,
         "seconds": round(time.perf_counter() - started, 6),
-        "flags": flags,
+        "flags": list(flags),
     }
 
 
@@ -482,6 +510,10 @@ OPERATORS: dict[str, OperatorSpec] = {spec.name: spec for spec in (
         "series", portfolio,
     ),
 )}
+
+# operators whose result depends on more than their step key: trend runs a
+# series transform looked up by name at call time, which may be re-registered
+_NOT_REUSED = frozenset({"trend"})
 
 # operators whose function records per-date flags; read once from the signatures
 _TAKES_FLAGS = frozenset(

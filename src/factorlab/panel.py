@@ -4,7 +4,11 @@ A Panel is the universal currency of the engine: a grid of float64 values
 indexed by monthly dates (rows) and asset ids (columns), with NaN as the
 explicit missing marker. Panels never mutate after registration; every
 operation produces a new panel carrying a ProvenanceRecord, so the registry
-forms a directed acyclic graph from raw inputs to final outputs.
+forms a directed acyclic graph from raw inputs to final outputs. A grid is
+read-only and copied only when something else could still write it, so
+panels that hold the same values (a relabelled series, a reused step) share
+one grid. The registry remembers each computed operator step of its session,
+and a repeat of one is registered without computing (``PanelRegistry``).
 
 A DateIndex is its month ordinals, with labels formatted on demand; every
 calendar offset is a row range of ``DateIndex.window_rows``.
@@ -215,9 +219,26 @@ def encode_params(params: Mapping[str, object] | None) -> dict:
 SOURCE = "source"
 
 
+def _writable(array: np.ndarray) -> bool:
+    """Whether ``array`` can change: it, or an array it views, is writeable,
+    or its memory belongs to a buffer that is not a numpy array."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return True
+        array = array.base
+    return array is not None
+
+
 @dataclass(frozen=True)
 class Panel:
-    """Immutable T x N grid of float64 values with NaN as the missing marker."""
+    """Immutable T x N grid of float64 values with NaN as the missing marker.
+
+    The grid is read-only. A grid that can change under the panel (see
+    ``_writable``) is copied once on construction; a read-only grid that owns
+    its memory, or views only read-only arrays, is shared as it is. So a panel
+    re-wrapped under another id or provenance (``to_series``, ``register``, a
+    reused step) shares its grid instead of copying it.
+    """
 
     panel_id: str
     dates: DateIndex
@@ -234,8 +255,9 @@ class Panel:
             )
         if len(set(self.assets)) != len(self.assets):
             raise DataError("asset ids must be unique")
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if _writable(vals):
+            vals = vals.copy()
+            vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "assets", tuple(self.assets))
 
@@ -297,8 +319,9 @@ class Panel:
         """This panel as a per-date series, relabelled ``name`` when given.
 
         A series is a one-column panel, so a wider panel is a ``DataError``.
-        The panel comes back itself, or as an unregistered copy whose
-        ``panel_id`` is ``name``; consumers label a series by its id.
+        The panel comes back itself, or as an unregistered panel whose
+        ``panel_id`` is ``name`` and which shares this grid; consumers label a
+        series by its id.
         """
         if not self.is_series():
             raise DataError(f"panel {self.panel_id!r} has {self.n_assets} columns, expected 1")
@@ -310,6 +333,12 @@ class _Saved(NamedTuple):  # a saved panel in a registry, its values not read ye
     provenance: ProvenanceRecord
 
 
+class _Step(NamedTuple):  # a computed step, kept for the repeats of its key
+    panel: Panel  # the registered output of its first computation
+    call_ids: tuple[str, ...]  # the input ids that computation was called with
+    summary: object  # what the step's caller handed ``remember``
+
+
 class PanelRegistry:
     """Session-scoped id -> Panel map. Registration is the single write path.
 
@@ -317,12 +346,22 @@ class PanelRegistry:
     makes the provenance graph acyclic by construction. Saved panels restored
     by ``load_registry`` read their values on the first ``get``. Registration
     and that read are serialized with a lock, so reads are safe to share.
+
+    The registry also remembers each computed operator step for the rest of
+    the session, so that a repeat of it is answered without computing
+    (``step_key``, ``reuse``, ``remember``). A step's key holds each input's
+    content token: the panel's own id, except for a panel registered by
+    ``reuse``, whose token is that of the step's first output. Engine steps
+    are deterministic and panels immutable, so equal keys mean equal results.
+    Nothing is remembered across sessions or on disk.
     """
 
     def __init__(self):
         self._panels: dict[str, Panel | _Saved] = {}
         self._counter = 1
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # reuse registers while it holds the lock
+        self._steps: dict[tuple, _Step] = {}
+        self._tokens: dict[str, str] = {}  # id of a reused output -> its content token
 
     def __contains__(self, panel_id: str) -> bool:
         return panel_id in self._panels
@@ -375,6 +414,43 @@ class PanelRegistry:
                 provenance=replace(panel.provenance, created_seq=self._counter))
             self._counter += 1
             return panel_id
+
+    def step_key(self, op: str, args_json: str, input_ids: Sequence[str]) -> tuple:
+        """The reuse key of a step: its op, its canonical argument JSON, each
+        input's content token and the call's repeat pattern of input ids (so
+        that a step on one panel twice never answers one on two panels)."""
+        with self._lock:
+            tokens = tuple(self._tokens.get(i, i) for i in input_ids)
+        return op, args_json, tokens, tuple(map(input_ids.index, input_ids))
+
+    def reuse(self, key: tuple, input_ids: Sequence[str],
+              name: str | None = None) -> tuple[str, object] | None:
+        """Register a repeat of the step remembered under ``key``, or return None.
+
+        The new panel shares the first output's grid, frame and params. Its
+        provenance inputs are the first output's, mapped onto ``input_ids``,
+        and ``register`` gives it its own id and sequence number. Returns the
+        new id and the step's summary.
+        """
+        with self._lock:
+            step = self._steps.get(key)
+            if step is None:
+                return None
+            first = step.panel
+            inputs = tuple(input_ids[step.call_ids.index(i)]
+                           for i in first.provenance.input_ids)
+            panel_id = self.register(replace(
+                first, panel_id="", provenance=replace(first.provenance, input_ids=inputs)),
+                name)
+            self._tokens[panel_id] = first.panel_id
+            return panel_id, step.summary
+
+    def remember(self, key: tuple, panel_id: str, input_ids: Sequence[str],
+                 summary: object) -> None:
+        """Keep the registered output of a computed step, called on ``input_ids``,
+        for the repeats of ``key``; the first output kept under a key stays."""
+        with self._lock:
+            self._steps.setdefault(key, _Step(self._panels[panel_id], tuple(input_ids), summary))
 
     def _restore(self, panel_id: str, saved: _Saved) -> None:
         """Insert a saved panel unread, keeping its original sequence number."""
@@ -487,6 +563,10 @@ def load(directory, panel_id: str) -> Panel:
     """Rebuild a saved panel bit-exactly from its ``<id>.meta.json`` and ``<id>.npy``."""
     dates, assets, provenance = _read_meta(directory, panel_id)
     values = read_grid(Path(directory) / f"{panel_id}.npy", (len(dates), len(assets)))
+    grid = values
+    while isinstance(grid, np.ndarray):  # np.load may return a view of the array it
+        grid.setflags(write=False)  # read; nothing else holds either, so the panel shares
+        grid = grid.base
     return Panel(panel_id, dates, assets, values, provenance)
 
 

@@ -118,6 +118,17 @@ class TestIngestMonthly:
                 f"line 4: asset_id {asset!r} holds a comma, quote or line break")):
             ingest_monthly(f)
 
+    @pytest.mark.parametrize("row, message", [
+        ("1990-03,a,xyz,5,5,1", "line 5: bad number 'xyz' in column ret"),
+        ("1990-03,a,0.01,5,5", "line 5: expected 6 fields"),
+        ("1990-02,a,0.03,5,5,1", r"line 5: duplicate key \(1990-02,a\)"),
+    ])
+    def test_a_field_spanning_lines_counts_in_the_lines_after_it(self, tmp_path, row, message):
+        f = tmp_path / "m.csv"  # line 2 holds "0.01 and a line break, read as 0.01
+        write_monthly(f, ['1990-01,a,"0.01', '",5,5,1', "1990-02,a,0.02,5,5,1", row])
+        with pytest.raises(DataError, match=message):
+            ingest_monthly(f)
+
     def test_non_utf8_file_is_a_data_error(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_bytes(b"date,asset_id,ret,cap,capco,exchange_nyse\n1990-01,\xff,0,5,5,1\n")

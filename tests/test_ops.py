@@ -3,11 +3,15 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import shutil
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from factorlab import transforms
-from factorlab.errors import RecipeError
+from factorlab import ops, transforms
+from factorlab import panel as panelio
+from factorlab.errors import DataError, RecipeError
 from factorlab.ops import (
     OPERATORS,
     ArgError,
@@ -237,3 +241,191 @@ def test_a_range_error_prints_only_the_bounds_it_has(bounds, value, text):
     with pytest.raises(ArgError) as exc:
         validate_args(spec, {"w": value}, 0)
     assert str(exc.value) == f"w: {text}"
+
+
+# -- each step is computed once per registry ------------------------------------------
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The operators actually run, by name, from now on."""
+    names, real = [], ops.execute_operator
+
+    def counted(spec, *args, **kwargs):
+        names.append(spec.name)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "execute_operator", counted)
+    return names
+
+
+def small_registry() -> PanelRegistry:
+    registry = PanelRegistry()
+    periods = ["1990-01", "1990-02"]
+    registry.register(make_panel("X", periods, ["a", "b"], [[1.0, 2.0], [3.0, -4.0]]))
+    registry.register(make_panel("Y", periods, ["a", "b"], [[2.0, 1.0], [0.0, 5.0]]))
+    registry.register(make_panel("U", periods, ["a", "b"], [[1.0, 1.0], [0.0, 0.0]]))
+    return registry
+
+
+def test_a_repeated_step_shares_the_grid_and_replays_the_record(computed):
+    registry = small_registry()
+    args = {"percentiles": [50.0]}
+    first, record = apply_step(registry, "quantile_bins", ["X", "U"], args, name="Q")
+    again, repeat = apply_step(registry, "quantile_bins", ["X", "U"], {"percentiles": [50]})
+    assert computed == ["quantile_bins"]
+    assert again != first
+    assert registry.get(again).values is registry.get(first).values
+    assert repeat["flags"] == record["flags"] == ["quantile_bins: 1990-02: empty universe"]
+    assert {**repeat, "panel_id": first, "seconds": 0} == {**record, "seconds": 0}
+    assert registry.provenance(again).created_seq == registry.provenance(first).created_seq + 1
+    with pytest.raises(ValueError):
+        registry.get(again).values[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("op, inputs, args", [
+    pytest.param("compare", ["X"], {"op": "ge", "threshold": 0.0}, id="arg"),
+    pytest.param("compare", ["X"], {"op": "lt", "threshold": -0.0}, id="minus-zero"),
+    pytest.param("compare", ["Y"], {"op": "lt", "threshold": 0.0}, id="input"),
+    pytest.param("unary_op", ["X"], {"op": "neg"}, id="op"),
+])
+def test_a_step_that_differs_is_computed(computed, op, inputs, args):
+    registry = small_registry()
+    apply_step(registry, "compare", ["X"], {"op": "lt", "threshold": 0.0})
+    apply_step(registry, op, inputs, args)
+    assert computed == ["compare", op]
+
+
+def test_a_step_on_one_panel_twice_does_not_answer_one_on_two(computed):
+    registry = small_registry()
+    c, _ = apply_step(registry, "unary_op", ["X"], {"op": "neg"}, name="C")
+    d, _ = apply_step(registry, "unary_op", ["X"], {"op": "neg"}, name="D")
+    assert computed == ["unary_op"]  # so C and D have one content token
+    same, _ = apply_step(registry, "binary_op", [c, c], {"op": "sub"})
+    pair, _ = apply_step(registry, "binary_op", [c, d], {"op": "sub"})
+    swapped, _ = apply_step(registry, "binary_op", [d, c], {"op": "sub"})
+    twice, _ = apply_step(registry, "binary_op", [d, d], {"op": "sub"})
+    assert computed == ["unary_op", "binary_op", "binary_op"]
+    assert [registry.provenance(i).input_ids for i in (same, pair, swapped, twice)] == [
+        ("C", "C"), ("C", "D"), ("D", "C"), ("D", "D")]
+
+
+def test_a_step_that_raised_is_computed_again(computed, monkeypatch):
+    registry = small_registry()
+    real = transforms.unary_op
+
+    def fails_once(*args, **kwargs):
+        monkeypatch.setattr(transforms, "unary_op", real)
+        raise DataError("transient")
+
+    monkeypatch.setattr(transforms, "unary_op", fails_once)
+    with pytest.raises(DataError, match="transient"):
+        apply_step(registry, "unary_op", ["X"], {"op": "neg"})
+    panel_id, _ = apply_step(registry, "unary_op", ["X"], {"op": "neg"})
+    assert computed == ["unary_op", "unary_op"]
+    assert registry.get(panel_id).values.tolist() == [[-1.0, -2.0], [-3.0, 4.0]]
+
+
+def test_a_step_whose_name_is_refused_is_not_remembered(computed):
+    registry = small_registry()
+    with pytest.raises(ArgError) as exc:
+        apply_step(registry, "unary_op", ["X"], {"op": "neg"}, name="../bad")
+    assert exc.value.param == "name"
+    apply_step(registry, "unary_op", ["X"], {"op": "neg"})
+    with pytest.raises(ArgError) as exc:  # a repeat refuses the same name the same way
+        apply_step(registry, "unary_op", ["X"], {"op": "neg"}, name="../bad")
+    assert exc.value.param == "name"
+    assert computed == ["unary_op", "unary_op"]
+    assert registry.ids() == ["X", "Y", "U", "_4"]
+
+
+def test_trend_is_computed_on_every_call(computed):
+    registry = small_registry()
+    for _ in range(2):
+        apply_step(registry, "trend", ["X"], {"name": "cumsum"})
+    assert computed == ["trend", "trend"]
+
+
+CALLS = [  # (op, inputs, args, name): repeats of earlier calls, under their own names
+    ("unary_op", ["X"], {"op": "neg"}, "N"),
+    ("unary_op", ["X"], {"op": "neg"}, "N2"),
+    ("binary_op", ["N", "Y"], {"op": "add"}, "S"),
+    ("binary_op", ["N2", "Y"], {"op": "add"}, "S2"),
+    ("quantile_bins", ["S2", "U"], {"percentiles": [50.0]}, None),
+    ("quantile_bins", ["S", "U"], {"percentiles": [50.0]}, None),
+]
+
+
+def test_a_reused_step_is_recorded_as_a_computed_one(computed, monkeypatch, tmp_path):
+    sessions = {}
+    for mode in ("reused", "computed"):
+        registry = small_registry()
+        if mode == "computed":
+            monkeypatch.setattr(registry, "reuse", lambda *args, **kwargs: None)
+        ids = [apply_step(registry, op, inputs, args, name=name)[0]
+               for op, inputs, args, name in CALLS]
+        for panel_id in ids:
+            panelio.save(registry.get(panel_id), tmp_path / mode)
+        graphs = [panelio.export_graph(registry, panel_id) for panel_id in ids]
+        files = {f.name: f.read_bytes() for f in sorted((tmp_path / mode).iterdir())}
+        sessions[mode] = ids, [registry.provenance(i) for i in ids], graphs, files
+    assert computed.count("unary_op") == 3  # once reused, twice computed
+    assert sessions["reused"] == sessions["computed"]
+    assert len(sessions["reused"][3]) == 2 * len(CALLS)
+
+
+def test_threads_repeating_steps_in_one_registry_lose_no_panel():
+    registry = small_registry()
+
+    def chain(k: int) -> list[tuple[str, str]]:
+        pairs = []
+        for i in range(20):
+            n, _ = apply_step(registry, "unary_op", ["X"], {"op": "neg"}, name=f"N{k}_{i}")
+            pairs.append((n, apply_step(registry, "binary_op", [n, "Y"], {"op": "add"})[0]))
+        return pairs
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(chain, k) for k in range(8)]
+            outputs = [i for f in futures for i in f.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(registry) == 3 + 8 * 20 * 2
+    assert len({out for _, out in outputs}) == len(outputs)
+    for n, out in outputs:
+        assert registry.get(out).values.tolist() == [[1.0, -1.0], [-3.0, 9.0]]
+        assert registry.provenance(out).input_ids == (n, "Y")
+        assert registry.provenance(n).input_ids == ("X",)
+
+
+def test_the_agent_session_answers_as_it_would_computing_every_step(
+        source_panels, tmp_path, monkeypatch, computed):
+    """The benchmark's agent session, replayed with and without reuse: every
+    response and every saved file is byte-identical, and most steps are reused."""
+    from perfbench import workloads
+
+    sources = tmp_path / "sources"
+    for source in source_panels.values():
+        panelio.save(source, sources)
+    out = tmp_path / "out"
+    plan = workloads.agent_plan(3, sources, out)
+    sessions = {}
+    for mode in ("computed", "reused"):
+        server = ToolServer()
+        if mode == "computed":
+            monkeypatch.setattr(server.registry, "reuse", lambda *args, **kwargs: None)
+        responses = []
+        for request in plan:
+            try:
+                responses.append(server.handle_line(request.line))
+            except Exception as exc:  # the two known escapes of handle_line
+                responses.append(f"escaped: {type(exc).__name__}: {exc}")
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        sessions[mode] = responses, files, len(computed)
+        computed.clear()
+    assert sessions["reused"][:2] == sessions["computed"][:2]
+    assert len(sessions["reused"][1]) == 120
+    assert sessions["reused"][2] < sessions["computed"][2] / 3

@@ -223,6 +223,65 @@ class TestRegistry:
             reg.get("A").values[0, 0] = 5.0
 
 
+class TestGridCopies:
+    """A panel copies a grid that can still change, and shares one that cannot."""
+
+    @staticmethod
+    def wrap(grid) -> Panel:
+        return Panel.source("A", ["1990-01"], ["x", "y"], grid)
+
+    def test_a_writeable_grid_is_copied(self):
+        grid = np.array([[1.0, 2.0]])
+        p = self.wrap(grid)
+        assert not np.shares_memory(p.values, grid)
+        grid[0, 0] = 5.0
+        assert p.values.tolist() == [[1.0, 2.0]]
+
+    def test_a_read_only_view_of_a_writeable_base_is_copied(self):
+        base = np.array([[1.0, 2.0], [3.0, 4.0]])
+        view = base[:1]
+        view.setflags(write=False)
+        p = self.wrap(view)
+        assert not np.shares_memory(p.values, base)
+        base[0, 0] = 5.0
+        assert p.values.tolist() == [[1.0, 2.0]]
+
+    def test_a_read_only_view_of_a_writeable_buffer_is_copied(self):
+        buffer = bytearray(np.array([1.0, 2.0]).tobytes())
+        flat = np.frombuffer(buffer)
+        flat.setflags(write=False)
+        p = self.wrap(flat.reshape(1, 2))
+        buffer[:8] = np.array([5.0]).tobytes()
+        assert p.values.tolist() == [[1.0, 2.0]]
+
+    def test_a_read_only_grid_that_owns_its_memory_is_shared(self):
+        grid = np.array([[1.0, 2.0]])
+        grid.setflags(write=False)
+        assert self.wrap(grid).values is grid
+
+    def test_register_stores_the_unregistered_panels_grid(self):
+        reg = PanelRegistry()
+        reg.register(make_panel("A", ["1990-01"], ["x"], [[1.0]]))
+        derived = Panel.derive("unary_op", {"op": "neg"}, [reg.get("A")],
+                               reg.get("A").dates, ("x",), np.array([[-1.0]]))
+        pid = reg.register(derived)
+        assert reg.get(pid).values is derived.values
+        with pytest.raises(ValueError):
+            reg.get(pid).values[0, 0] = 5.0
+
+    def test_a_relabelled_series_shares_the_grid(self):
+        p = make_panel("S", ["1990-01"], ["value"], [[1.0]])
+        assert p.to_series("T").values is p.values
+
+    def test_load_shares_the_grid_it_reads(self, tmp_path, monkeypatch):
+        panelio.save(make_panel("A", ["1990-01"], ["x", "y"], [[1.0, None]]), tmp_path)
+        reads = []
+        real = panelio.read_grid
+        monkeypatch.setattr(panelio, "read_grid",
+                            lambda *args: reads.append(real(*args)) or reads[-1])
+        assert panelio.load(tmp_path, "A").values is reads[0]
+
+
 META = {"panel_id": "P", "assets": ["a"], "dates": ["1990-01"], "date_span": [],
         "provenance": {"op_name": "source", "params": {}, "input_ids": [], "created_seq": 1}}
 
