@@ -1,8 +1,11 @@
 """Command-line entry point: gen, ingest, run, report, graph, simk, plot, serve.
 
-``ingest`` and ``run`` save each panel as its store (``<id>.npy`` and
-``<id>.meta.json``) plus the long-form ``<id>.csv`` export for people;
-``report``, ``graph`` and ``plot`` read the store of ``--data-dir``.
+``ingest`` saves each source panel as its store (``<id>.npy`` and
+``<id>.meta.json``) plus the long-form ``<id>.csv`` export for people. ``run``
+saves the store of each source its recipe reads, so that its ``--out-dir``
+serves alone, and saves and exports the panels its steps made; the sources'
+export is ``ingest``'s alone. ``report``, ``graph`` and ``plot`` read the
+store of ``--data-dir``.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime. Usage errors (bad
 options, ``--param``/``--model`` syntax, an invalid generator config, a Sim@k
@@ -157,7 +160,11 @@ def _ingest_sources(args):
 
 
 def _save_panels(panels, out_dir) -> list[Path]:
-    """Write each panel's store and its long-form CSV export; returns the files."""
+    """Write each panel's store and its long-form CSV export; returns the files.
+
+    ``ingest`` passes the sources it read; ``run`` passes only what its steps
+    made, and saves the stores of its sources without an export.
+    """
     return [path for panel in panels
             for path in (*panelio.save(panel, out_dir), panelio.export_csv(panel, out_dir))]
 
@@ -218,8 +225,9 @@ def cmd_run(args) -> int:
 
 
 def _save_run_outputs(registry, sources, outputs, out_dir):
-    saved = [name for name in sources if name in registry] + list(outputs.values())
-    _save_panels(map(registry.get, saved), out_dir)
+    for name in sources:
+        panelio.save(registry.get(name), out_dir)
+    _save_panels(map(registry.get, outputs.values()), out_dir)
 
 
 def _load_data_registry(args):

@@ -298,18 +298,22 @@ class Panel:
     def n_assets(self) -> int:
         return len(self.assets)
 
+    @property
+    def date_span(self) -> list[str]:
+        """The first and last period, or ``[]`` for a frame without dates."""
+        return [self.dates[0], self.dates[-1]] if len(self.dates) else []
+
     def n_nonmissing(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.values)))
 
     def payload(self) -> dict:
         """Summary handle passed around instead of full data (tool-call style)."""
-        span = [self.dates[0], self.dates[-1]] if len(self.dates) else []
         return {
             "panel_id": self.panel_id,
             "n_dates": self.n_dates,
             "n_assets": self.n_assets,
             "n_nonmissing": self.n_nonmissing(),
-            "date_span": span,
+            "date_span": self.date_span,
         }
 
     def is_series(self) -> bool:
@@ -473,12 +477,11 @@ def save(panel: Panel, directory) -> list[Path]:
     meta_path = directory / f"{panel.panel_id}.meta.json"
     with npy_path.open("wb") as fh:
         np.save(fh, panel.values, allow_pickle=False)
-    span = [panel.dates[0], panel.dates[-1]] if len(panel.dates) else []
     meta = {
         "panel_id": panel.panel_id,
         "assets": list(panel.assets),
         "dates": list(panel.dates),
-        "date_span": span,
+        "date_span": panel.date_span,
         "provenance": panel.provenance.to_dict(),
     }
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")

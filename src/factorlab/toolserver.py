@@ -142,14 +142,16 @@ class ToolServer:
             raise RpcError(INVALID_PARAMS, "name must be a string",
                            data={"param": "name"})
         try:
-            panel_id, _ = apply_step(self.registry, name, input_ids, args, name=out_name)
+            panel_id, record = apply_step(self.registry, name, input_ids, args, name=out_name)
         except ArgError as exc:
             raise RpcError(INVALID_PARAMS, str(exc), data={"param": exc.param}) from exc
         except StepExecutionError as exc:
             raise RpcError(RUNTIME_ERROR, str(exc)) from exc
         except EngineError as exc:
             raise RpcError(RUNTIME_ERROR, f"op {name!r} failed: {exc}") from exc
-        return self.registry.get(panel_id).payload()
+        # the output's payload, from the step record that has counted its cells
+        return {"panel_id": panel_id, "date_span": self.registry.get(panel_id).date_span,
+                **{key: record[key] for key in ("n_dates", "n_assets", "n_nonmissing")}}
 
     # -- non-operator tools: called with the arguments validate_args returns ----
 

@@ -134,7 +134,7 @@ def test_all_missing_step_exits_3_after_saving_the_steps_before_it(workdir, tmp_
         cli.main(["--data-dir", str(directory), "--out-dir", str(out), "run", str(recipe)])
     assert exc.value.code == cli.EXIT_RUNTIME
     assert sorted(p.name for p in out.iterdir()) == [
-        "CAP.csv", "CAP.meta.json", "CAP.npy",
+        "CAP.meta.json", "CAP.npy",
         "HUGE_CAP.csv", "HUGE_CAP.meta.json", "HUGE_CAP.npy"]
 
 
@@ -317,6 +317,48 @@ def test_ingest_and_run_export_each_saved_panel_as_csv(workdir, tmp_path):
         saved = panelio.load(directory, meta.name[:-len(".meta.json")])
         export = directory / f"{saved.panel_id}.csv"
         assert export.read_bytes() == panelio.export_csv(saved, tmp_path).read_bytes()
+
+
+def fail(*panels):
+    raise ValueError("no spread today")
+
+
+@pytest.mark.parametrize("last_step_fails", [False, True], ids=["success", "step_error"])
+def test_run_exports_only_the_panels_its_steps_made(workdir, tmp_path, monkeypatch,
+                                                    last_step_fails):
+    directory, hml_log = workdir
+    made = dict(hml_log["outputs"])
+    if last_step_fails:
+        monkeypatch.setattr("factorlab.portfolio.spread_2x3", fail)
+        del made["HML_spread"]
+    exported = []
+    export_csv = panelio.export_csv
+    monkeypatch.setattr(panelio, "export_csv", lambda panel, directory: (
+        exported.append(panel.panel_id) or export_csv(panel, directory)))
+    out = tmp_path / "out"
+    try:
+        code = cli.main(["--data-dir", str(directory), "--out-dir", str(out), "run", "hml"])
+    except SystemExit as exc:
+        code = exc.code
+    if last_step_fails:
+        assert code == cli.EXIT_RUNTIME
+    else:
+        assert code == cli.EXIT_OK
+        assert json.loads((out / "run_log.json").read_text())["outputs"] == made
+    assert sorted(exported) == sorted(made.values())
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{i}.csv" for i in exported)
+    for source in hml_log["sources"]:
+        assert (out / f"{source}.npy").exists() and (out / f"{source}.meta.json").exists()
+
+
+def test_a_chain_without_ingest_serves_from_runs_out_dir_and_exports_no_source(tmp_path):
+    assert factorlab(tmp_path, "gen", "--n-assets", "30", "--n-months", "72") == 0
+    assert factorlab(tmp_path, "run", "hml") == 0
+    assert factorlab(tmp_path, "run", "market_vw") == 0
+    assert factorlab(tmp_path, *BENCH_REPORT) == 0
+    assert factorlab(tmp_path, "graph", "HML_spread") == 0
+    assert (tmp_path / "CAP.npy").exists() and not (tmp_path / "CAP.csv").exists()
+    assert (tmp_path / "report_HML_spread.md").exists() and (tmp_path / "HML_spread.dot").exists()
 
 
 def only_error_line(err: str) -> str:

@@ -199,6 +199,21 @@ def test_all_missing_output_is_a_runtime_error_and_not_registered(server):
     assert server.registry.ids() == before
 
 
+def test_an_operator_reply_is_the_payload_from_the_step_record(server, monkeypatch):
+    counted = []
+    n_nonmissing = Panel.n_nonmissing
+    monkeypatch.setattr(Panel, "n_nonmissing",
+                        lambda panel: counted.append(panel.panel_id) or n_nonmissing(panel))
+    arguments = {"inputs": ["CAP"], "args": {"k": 1}}
+    computed, reused = (call(server, "lag", arguments)["result"] for _ in range(2))
+    assert counted == []
+    assert computed["panel_id"] != reused["panel_id"]
+    assert computed == {"panel_id": computed["panel_id"], "n_dates": 60, "n_assets": 30,
+                        "n_nonmissing": 59 * 30, "date_span": ["1995-01", "1999-12"]}
+    for reply in (computed, reused):
+        assert reply == server.registry.get(reply["panel_id"]).payload()
+
+
 def test_load_source_refuses_a_path_outside_the_directory(server, tmp_path):
     panelio.save(server.registry.get("CAP"), tmp_path)
     inner = tmp_path / "inner"
