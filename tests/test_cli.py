@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import shutil
@@ -25,6 +26,11 @@ GOLDEN_REPORT = ["report", "--spread", "HML_spread", "--characteristic", "BM",
 BENCH_REPORT = GOLDEN_REPORT[:-2]
 BENCH_REPORT_READS = [f"{panel_id}.npy" for panel_id in (
     "BM", "CAP", "CAPCO", "HML_spread", "MKT", "NYSE", "PSTK", "PSTKL", "PSTKRV", "RET", "SEQ")]
+# a fixed chain through every shipped recipe, and the digest of each file it leaves
+CHAIN_INPUTS = ["--seed", "11", "gen", "--n-assets", "30", "--n-months", "72",
+                "--val-spread", "0.003", "--mom-spread", "0.004", "--missing-ret-rate", "0.02"]
+CHAIN_RECIPES = ("hml", "jkp_momentum", "market_vw", "ewma_vol")
+GOLDEN_CHAIN = GOLDEN / "chain.sha256"
 
 
 def factorlab(directory, *argv) -> int:
@@ -441,3 +447,41 @@ def test_serve_turns_an_escaping_tool_error_into_one_error_line(workdir, monkeyp
     out, err = capsys.readouterr()
     assert json.loads(out)["id"] == 1
     assert only_error_line(err) == "error: duplicate panel id 'MKT'"
+
+
+def chain_digests(directory: Path) -> str:
+    """Runs the fixed chain in ``directory`` and returns one ``name sha256`` line
+    per file it leaves, with the step ``seconds`` of ``run_log.json`` zeroed first.
+
+    ``gen`` and ``ingest`` write ``directory``. Each ``run`` reads the CSVs there
+    and writes ``directory/runs``, where ``report`` then runs, so a file that
+    ``run`` should not write shows up as a file of its own."""
+    runs = directory / "runs"
+    assert factorlab(directory, *CHAIN_INPUTS) == 0
+    assert factorlab(directory, "ingest") == 0
+    for recipe in CHAIN_RECIPES:
+        assert factorlab(directory, "--out-dir", str(runs), "run", recipe) == 0, recipe
+    assert factorlab(runs, *GOLDEN_REPORT) == 0
+    run_log = runs / "run_log.json"
+    log = json.loads(run_log.read_text())
+    for step in log["steps"]:
+        step["seconds"] = 0.0
+    run_log.write_text(json.dumps(log, sort_keys=True, indent=2) + "\n")
+    return "".join(f"{path.relative_to(directory).as_posix()} "
+                   f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+                   for path in sorted(directory.rglob("*")) if path.is_file())
+
+
+def test_the_chain_writes_the_golden_bytes(tmp_path):
+    want, got = (dict(line.split() for line in text.splitlines())
+                 for text in (GOLDEN_CHAIN.read_text(), chain_digests(tmp_path)))
+    differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+    assert not differ, f"files that differ from {GOLDEN_CHAIN.name}: {', '.join(differ)}"
+
+
+if __name__ == "__main__":  # rewrite the golden: PYTHONPATH=src python -m tests.test_cli
+    import contextlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
+        GOLDEN_CHAIN.write_text(chain_digests(Path(scratch)))
