@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -27,6 +27,7 @@ MONTHLY_HEADER = ["date", "asset_id", "ret", "cap", "capco", "exchange_nyse"]
 MONTHLY_PANELS = ("RET", "CAP", "CAPCO", "NYSE")  # one per value column of MONTHLY_HEADER
 ANNUAL_KEY_COLUMNS = ["fiscal_end", "asset_id"]
 _NEEDS_QUOTES = frozenset(',"\r\n')  # a CSV field holds these only when quoted
+READ_BATCH = 500  # rows per read_table batch; below the collector's gen-0 threshold of 700
 
 
 class Table(NamedTuple):
@@ -44,17 +45,27 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
 
     Header fields are compared stripped. With ``columns`` the header must be
     exactly ``keys + columns``; without, every field after the keys is a value
-    column, and no field may repeat. Blank lines are skipped, keys are stripped,
-    values follow Python ``float`` and a blank value is missing. A bad row width,
-    period or number, an asset id that is empty or needs CSV quoting, or a
-    duplicate key raises ``DataError`` naming the line.
+    column, and no field may repeat. A leading byte-order mark is dropped, blank
+    lines are skipped, keys are stripped, values follow Python ``float`` and a
+    blank value is missing. A bad row width, period or number, an asset id that
+    is empty or needs CSV quoting, or a duplicate key raises ``DataError``
+    naming the line.
+
+    Rows are taken from the CSV reader ``READ_BATCH`` at a time into one flat
+    array of field strings. A row list is a garbage-collected container and a
+    string is not, so a batch smaller than the collector's first-generation
+    threshold dies young, and no full collection rescans a whole file of rows.
     """
     path, keys = Path(path), list(keys)
+    widths, batches = [], []
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, skipinitialspace=True)
             header = [h.strip() for h in next(reader, [])]
-            records = list(reader)
+            while batch := list(islice(reader, READ_BATCH)):
+                width = list(map(len, batch))
+                widths += width
+                batches.append(np.fromiter(chain.from_iterable(batch), object, sum(width)))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
     expected = keys + list(columns or ["..."])
@@ -65,55 +76,64 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
     if repeated:
         raise DataError(f"{path}: column {repeated[0]!r} appears twice in the header")
 
-    width = np.fromiter(map(len, records), np.int64, len(records))
+    width = np.array(widths, dtype=np.int64)
     numbered = np.flatnonzero(width)  # the record number of each non-blank record
-    bad = np.flatnonzero(width[width > 0] != len(header))
+    bad = np.flatnonzero(width[numbered] != len(header))
     if bad.size:
         raise DataError(f"{_where(path, numbered, bad[0])}: expected {len(header)} fields")
-    fields = np.array(list(compress(records, width)), dtype=object).reshape(-1, len(header)).T
-    del records  # the field array now holds the only references to the text
+    fields = np.concatenate(batches or [np.empty(0, object)]).reshape(-1, len(header)).T
+    del batches  # the field array now holds the only references to the text
 
-    labels, first, inverse = np.unique(fields[0].astype(str), return_index=True,
-                                       return_inverse=True)
+    labels, inverse = _factorize(fields[0])  # labels in file order: the earliest bad line is named
     ordinals = np.zeros(len(labels), dtype=np.int64)
-    for k in np.argsort(first):  # labels in file order: the earliest bad line is named
+    for k, label in enumerate(labels):
         try:
-            ordinals[k] = month_ordinal(labels[k].strip())
+            ordinals[k] = month_ordinal(label.strip())
         except DataError as exc:
-            raise DataError(f"{_where(path, numbered, first[k])}: {exc}") from None
-    dates, row = np.unique(ordinals[inverse], return_inverse=True)
-    labels, inverse = np.unique(fields[1].astype(str), return_inverse=True)
-    stripped = np.array([label.strip() for label in labels.tolist()], dtype=str)
-    assets, col = np.unique(stripped[inverse], return_inverse=True)
-    if assets[:1].tolist() == [""]:
+            raise DataError(f"{_where(path, numbered, np.argmax(inverse == k))}: {exc}") from None
+    dates, row = np.unique(ordinals, return_inverse=True)
+    row = row[inverse]
+    labels, inverse = _factorize(fields[1])
+    stripped = [label.strip() for label in labels]
+    assets = sorted(set(stripped))
+    position = {asset: j for j, asset in enumerate(assets)}
+    col = np.array([position[asset] for asset in stripped], dtype=np.int64)[inverse]
+    if assets[:1] == [""]:
         raise DataError(f"{_where(path, numbered, np.argmax(col == 0))}: empty {keys[1]}")
-    unwritable = [j for j, a in enumerate(assets.tolist()) if not _NEEDS_QUOTES.isdisjoint(a)]
+    unwritable = [j for j, a in enumerate(assets) if not _NEEDS_QUOTES.isdisjoint(a)]
     if unwritable:  # the CSV export writes asset ids unquoted
         k = np.argmax(np.isin(col, unwritable))
-        raise DataError(f"{_where(path, numbered, k)}: {keys[1]} {str(assets[col[k]])!r} "
+        raise DataError(f"{_where(path, numbered, k)}: {keys[1]} {assets[col[k]]!r} "
                         f"holds a comma, quote or line break")
-    flat = row * len(assets) + col
-    order = np.argsort(flat, kind="stable")
-    repeats = order[1:][np.diff(flat[order]) == 0]
-    if repeats.size:
-        k = repeats.min()
-        raise DataError(f"{_where(path, numbered, k)}: duplicate key "
-                        f"({fields[0][k].strip()},{fields[1][k].strip()})")
 
     keyed = np.zeros((len(dates), len(assets)), dtype=bool)
     keyed[row, col] = True
+    if np.count_nonzero(keyed) < len(row):  # a key repeats: name its second record
+        flat = row * len(assets) + col
+        order = np.argsort(flat, kind="stable")
+        k = order[1:][np.diff(flat[order]) == 0].min()
+        raise DataError(f"{_where(path, numbered, k)}: duplicate key "
+                        f"({fields[0][k].strip()},{fields[1][k].strip()})")
     grids = {}
     for name, raw in zip(header[len(keys):], fields[len(keys):]):
         grids[name] = np.full(keyed.shape, np.nan)
         grids[name][row, col] = _numbers(raw, path, name, numbered)
-    return Table(DateIndex.from_ordinals(dates.tolist()), tuple(assets.tolist()), grids, keyed)
+    return Table(DateIndex.from_ordinals(dates.tolist()), tuple(assets), grids, keyed)
+
+
+def _factorize(column: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct strings of ``column`` in order of first appearance, and the
+    index of each entry's string in that list."""
+    codes = {label: k for k, label in enumerate(dict.fromkeys(column.tolist()))}
+    return list(codes), np.fromiter(map(codes.__getitem__, column.tolist()), np.int64,
+                                    len(column))
 
 
 def _where(path: Path, numbered: np.ndarray, k: int) -> str:
     """``<path> line <n>`` for the ``k``-th non-blank record, whose record number
     (0 is the first after the header) is ``numbered[k]``. A quoted field may span
     lines, so only a new read of the file finds the line; errors alone need it."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, skipinitialspace=True)
         for _ in range(int(numbered[k]) + 1):  # the header and the records before
             next(reader)
@@ -152,10 +172,12 @@ def ingest_monthly(csv_path) -> IngestResult:
     """Read a security-monthly CSV into RET, CAP, CAPCO, and NYSE source panels.
 
     Screens: cap or capco below zero and ret <= -1 become missing, counted per
-    column. Malformed rows, duplicate (date, asset) keys and an exchange_nyse
-    other than 0 or 1 are errors.
+    column. A file without data rows, malformed rows, duplicate (date, asset)
+    keys and an exchange_nyse other than 0 or 1 are errors.
     """
     table = read_table(csv_path, MONTHLY_HEADER[:2], MONTHLY_HEADER[2:])
+    if not table.assets:  # every panel and the frame of the annual file come from these rows
+        raise DataError(f"{csv_path}: no data rows")
     ret, cap, capco, nyse = (table.grids[c] for c in MONTHLY_HEADER[2:])
     odd = ~np.isnan(nyse) & (nyse != 0.0) & (nyse != 1.0)
     if odd.any():

@@ -38,6 +38,7 @@ import re
 import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -496,11 +497,13 @@ def export_csv(panel: Panel, directory) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{panel.panel_id}.csv"
     i, j = np.nonzero(~np.isnan(panel.values))
-    cells = map("{},{},{!r}".format,
-                np.array(panel.dates.periods, dtype=object)[i].tolist(),
-                np.array(panel.assets, dtype=object)[j].tolist(),
-                panel.values[i, j].tolist())
-    csv_path.write_text("\n".join(["date,asset,value", *cells]) + "\n", encoding="utf-8")
+    text = ["date,asset,value\n"]
+    if i.size:  # a float's repr never holds ", ", but repr([]) would split into one empty value
+        values = repr(panel.values[i, j].tolist())[1:-1].split(", ")
+        periods = np.array([f"{period}," for period in panel.dates.periods], dtype=object)[i]
+        assets = np.array([f"{asset}," for asset in panel.assets], dtype=object)[j]
+        text += chain.from_iterable(zip(periods.tolist(), assets.tolist(), values, repeat("\n")))
+    csv_path.write_text("".join(text), encoding="utf-8")
     return csv_path
 
 

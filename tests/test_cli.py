@@ -166,6 +166,32 @@ def test_malformed_monthly_csv_is_a_validation_error(workdir, tmp_path, capsys, 
     assert "monthly.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["ingest"], ["run", "hml"]])
+def test_a_monthly_csv_without_data_rows_is_a_validation_error(workdir, tmp_path, capsys,
+                                                                 argv):
+    directory, _ = workdir
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    (data / "annual.csv").write_bytes((directory / "annual.csv").read_bytes())
+    (data / "monthly.csv").write_text("date,asset_id,ret,cap,capco,exchange_nyse\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(data), "--out-dir", str(out), *argv])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert only_error_line(capsys.readouterr().err) == \
+        f"error: {data / 'monthly.csv'}: no data rows"
+    assert not out.exists()
+
+
+def test_an_annual_csv_without_data_rows_serves_market_vw(workdir, tmp_path):
+    directory, _ = workdir
+    (tmp_path / "monthly.csv").write_bytes((directory / "monthly.csv").read_bytes())
+    (tmp_path / "annual.csv").write_text("fiscal_end,asset_id,seq,pstkrv,pstkl,pstk\n")
+    assert factorlab(tmp_path, "ingest") == 0
+    assert factorlab(tmp_path, "run", "market_vw") == 0
+    assert panelio.load(tmp_path, "SEQ").n_nonmissing() == 0
+    assert panelio.load(tmp_path, "MKT").n_nonmissing() > 0
+
+
 def test_malformed_saved_panel_is_a_validation_error(workdir, tmp_path):
     directory, _ = workdir
     for name in ("MKT.npy", "MKT.meta.json"):

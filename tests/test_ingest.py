@@ -11,6 +11,7 @@ from factorlab import panel as panelio
 from factorlab.errors import DataError
 from factorlab.ingest import (
     MONTHLY_HEADER,
+    READ_BATCH,
     IngestResult,
     book_equity,
     book_to_market,
@@ -189,6 +190,94 @@ class TestIngestAnnual:
                                                      f"{column}")
         with pytest.raises(DataError, match=re.escape(f"{f}: {message}")):
             ingest_annual(f)
+
+
+class TestEmptyFiles:
+    @pytest.mark.parametrize("rows", [[], ["", ""]], ids=["header_only", "blank_lines"])
+    def test_a_monthly_file_without_data_rows_is_refused(self, tmp_path, rows):
+        f = tmp_path / "m.csv"
+        write_monthly(f, rows)
+        with pytest.raises(DataError, match=re.escape(f"{f}: no data rows")):
+            ingest_monthly(f)
+
+    def test_an_annual_file_without_data_rows_is_allowed(self, tmp_path):
+        f = tmp_path / "a.csv"
+        write_annual(f, [])
+        result = ingest_annual(f)
+        assert (result.n_rows, list(result.panels)) == (0, ["SEQ", "PSTKRV", "PSTKL", "PSTK"])
+        assert result.panels["SEQ"].values.shape == (0, 0)
+
+
+BOM = "\ufeff"  # how a spreadsheet's "CSV UTF-8" starts a file
+
+
+def assert_same_values(got: IngestResult, want: IngestResult):
+    assert list(got.panels) == list(want.panels) and got.n_rows == want.n_rows
+    assert all(value_equal(got.panels[name], panel) for name, panel in want.panels.items())
+
+
+class TestByteOrderMark:
+    def test_a_monthly_file_reads_as_without_it(self, tmp_path):
+        rows = ["1990-01,a,0.01,10,11,1", "1990-02,a,0.02,10,11,1"]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_monthly(plain, rows)
+        marked.write_text(BOM + plain.read_text(), encoding="utf-8")
+        assert_same_values(ingest_monthly(marked), ingest_monthly(plain))
+        marked.write_text(BOM + plain.read_text() + "\n1990-03,a,xyz,10,11,1\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 5: bad number 'xyz' in column ret"):
+            ingest_monthly(marked)
+
+    def test_an_annual_file_reads_as_without_it(self, tmp_path):
+        rows = ["1990-12,a,100,,5,", "1991-12,a,90,1,,"]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_annual(plain, rows)
+        marked.write_text(BOM + plain.read_text(), encoding="utf-8")
+        assert_same_values(ingest_annual(marked), ingest_annual(plain))
+        marked.write_text(BOM + plain.read_text() + "1990-12,a,80,,,\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"line 4: duplicate key \(1990-12,a\)"):
+            ingest_annual(marked)
+
+
+def clean_rows(n: int) -> list[str]:
+    """``n`` monthly rows with distinct keys, ten assets a month."""
+    return [f"{1990 + r // 120}-{r // 10 % 12 + 1:02d},a{r % 10},0.01,{r + 1},{r + 2},1"
+            for r in range(n)]
+
+
+class TestReadBatchBoundaries:
+    """Each case puts its record ``k`` (0 is the first after the header, on line
+    2) just before, at and just after the first batch boundary of the reader."""
+
+    @pytest.mark.parametrize("k", [READ_BATCH - 1, READ_BATCH, READ_BATCH + 1])
+    @pytest.mark.parametrize("defect, message", [
+        (lambda row: row.rsplit(",", 1)[0], "expected 6 fields"),
+        (lambda row: row.replace(",0.01,", ",0.01,xyz,").rsplit(",", 3)[0] + ",5,1",
+         "bad number 'xyz' in column cap"),
+        (lambda row: "1990-01,a0,0.01,5,5,1", r"duplicate key \(1990-01,a0\)"),
+    ], ids=["width", "number", "duplicate"])
+    def test_an_error_names_its_line(self, tmp_path, k, defect, message):
+        rows = clean_rows(READ_BATCH + 3)
+        rows[k] = defect(rows[k])
+        f = tmp_path / "m.csv"
+        write_monthly(f, rows)
+        with pytest.raises(DataError, match=f"line {k + 2}: {message}"):
+            ingest_monthly(f)
+
+    @pytest.mark.parametrize("k", [READ_BATCH - 1, READ_BATCH, READ_BATCH + 1])
+    @pytest.mark.parametrize("spacer, after", [("blank_line", 3), ("spanning_field", 4)])
+    def test_a_clean_file_keeps_its_table_and_its_line_count(self, tmp_path, k, spacer, after):
+        rows = clean_rows(READ_BATCH + 3)
+        if spacer == "blank_line":
+            rows.insert(k, "")
+        else:  # record k reads ret from "0.01 and a line break"
+            rows[k] = rows[k].replace(",0.01,", ',"0.01\n",')
+        f = tmp_path / "m.csv"
+        write_monthly(f, rows)
+        assert_same_result(ingest_monthly(f), reference_ingest_monthly(f))
+        rows[k + 1] = rows[k + 1].replace(",0.01,", ",xyz,")  # on line k + after
+        write_monthly(f, rows)
+        with pytest.raises(DataError, match=f"line {k + after}: bad number 'xyz' in column ret"):
+            ingest_monthly(f)
 
 
 # -- the per-row readers that panel.read_table replaced, kept as references ----------

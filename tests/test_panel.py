@@ -628,7 +628,7 @@ class TestExportGraph:
 
 
 def reference_save_text(panel: Panel) -> str:
-    """The per-cell writer that export_csv's one-pass writer replaced."""
+    """export_csv's text, written cell by cell: one ``repr`` and one line per value."""
     lines = ["date,asset,value"]
     for i, period in enumerate(panel.dates):
         for j, asset in enumerate(panel.assets):
@@ -636,6 +636,20 @@ def reference_save_text(panel: Panel) -> str:
             if not np.isnan(v):
                 lines.append(f"{period},{asset},{float(v)!r}")
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("periods, assets, rows, written", [
+    (["1990-01", "1990-02"], ["a", "b", "c", "d"],
+     [[-0.0, 5e-324, None, 1e16], [1.7976931348623157e308, np.inf, -np.inf, 0.1]],
+     ["-0.0", "5e-324", "1e+16", "1.7976931348623157e+308", "inf", "-inf", "0.1"]),
+    (["1990-01"], ["a"], [[0.1]], ["0.1"]),
+    (["1990-01", "1990-03"], ["a", "b"], [[None, None], [None, None]], []),
+], ids=["edge_values", "one_cell", "all_missing"])
+def test_export_writes_each_value_as_its_repr(tmp_path, periods, assets, rows, written):
+    p = make_panel("P", periods, assets, rows)
+    text = panelio.export_csv(p, tmp_path).read_text()
+    assert text == reference_save_text(p)
+    assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]] == written
 
 
 @settings(max_examples=40, deadline=None)
