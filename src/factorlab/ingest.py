@@ -78,7 +78,7 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
 
     width = np.array(widths, dtype=np.int64)
     numbered = np.flatnonzero(width)  # the record number of each non-blank record
-    bad = np.flatnonzero(width[numbered] != len(header))
+    bad = np.flatnonzero(width[width > 0] != len(header))
     if bad.size:
         raise DataError(f"{_where(path, numbered, bad[0])}: expected {len(header)} fields")
     fields = np.concatenate(batches or [np.empty(0, object)]).reshape(-1, len(header)).T
@@ -124,9 +124,9 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
 def _factorize(column: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct strings of ``column`` in order of first appearance, and the
     index of each entry's string in that list."""
-    codes = {label: k for k, label in enumerate(dict.fromkeys(column.tolist()))}
-    return list(codes), np.fromiter(map(codes.__getitem__, column.tolist()), np.int64,
-                                    len(column))
+    labels = column.tolist()
+    codes = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    return list(codes), np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
 
 
 def _where(path: Path, numbered: np.ndarray, k: int) -> str:

@@ -628,7 +628,7 @@ class TestExportGraph:
 
 
 def reference_save_text(panel: Panel) -> str:
-    """export_csv's text, written cell by cell: one ``repr`` and one line per value."""
+    """The per-cell writer that export_csv's one-pass writer replaced."""
     lines = ["date,asset,value"]
     for i, period in enumerate(panel.dates):
         for j, asset in enumerate(panel.assets):
