@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +27,11 @@ from factorlab.toolserver import (
 )
 
 from . import oracles
-from .conftest import STORE_CORRUPTIONS, nonmissing_cells
+from .conftest import ORACLE_CONFIG, STORE_CORRUPTIONS, nonmissing_cells
 from .test_pipeline import TOLERANCE
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SESSION = GOLDEN / "session.jsonl"
 
 
 def call(server: ToolServer, tool: str, arguments: dict) -> dict:
@@ -352,3 +355,99 @@ def test_build_report_unknown_stratify_output(server, tmp_path):
     error = call(server, "build_report", arguments)["error"]
     assert error["code"] == INVALID_PARAMS
     assert error["data"] == {"param": "stratify_output"}
+
+
+# -- the session golden ------------------------------------------------------------
+
+SESSION_SOURCES = ("RET", "CAP", "CAPCO", "NYSE", "SEQ", "PSTKRV", "PSTKL", "PSTK")
+SESSION_DIR = "<DIR>"  # the session directory, as the golden writes it
+
+
+def session_lines(directory: Path) -> list[str]:
+    """The request lines of a fixed agent session on the sources saved in
+    ``directory/sources``, which saves to ``directory/out``.
+
+    The session lists the tools and loads the sources, runs one hml attempt, a
+    repeat with one argument changed and an unvaried repeat (both answered from
+    the step-reuse map where they can be), then the benchmark agent's hostile
+    calls of kinds 0-4 and the two calls that still escape ``handle_line``, and
+    ends with save_panel, export_graph and build_report calls."""
+    sources, out = str(directory / "sources"), str(directory / "out")
+    lines = [json.dumps({"jsonrpc": "2.0", "id": 0, "method": "tools/list"})]
+
+    def call_line(tool: str, arguments: dict) -> None:
+        lines.append(json.dumps({"jsonrpc": "2.0", "id": len(lines), "method": "tools/call",
+                                 "params": {"name": tool, "arguments": arguments}}))
+
+    def attempt(recipe: str, prefix: str, change: dict) -> None:
+        for step in pipeline.load_recipe(recipe).steps:
+            call_line(step.op, {
+                "inputs": [i if i in SESSION_SOURCES else prefix + i for i in step.inputs],
+                "args": {**step.args, **change.get(step.output, {})},
+                "name": prefix + step.output})
+
+    for source in SESSION_SOURCES:
+        call_line("load_source", {"directory": sources, "panel_id": source})
+    for prefix, change in (("a0_", {}), ("a1_", {"VALUE_BIN": {"percentiles": [20, 80]}}),
+                           ("a2_", {})):
+        attempt("hml", prefix, change)
+        call_line("save_panel", {"panel_id": f"{prefix}HML_spread", "directory": out})
+    call_line("save_panel", {"panel_id": "a1_BM", "directory": out})  # a reused step
+    lines.append(PARSE_LINE)
+    call_line("no_such_tool", {})
+    call_line("quantile_bins", {"inputs": ["CAP"], "args": {"percentiles": [150]}})
+    call_line("compare", {"inputs": ["NO_SUCH_PANEL"], "args": {"op": "ge", "threshold": 0}})
+    call_line("winsorize", {"inputs": ["CAP"], "args": {"hi_pct": math.nan}})
+    call_line("load_source", {"directory": sources, "panel_id": "RET"})  # escapes
+    call_line("trend", {"inputs": ["RET"], "args": {"name": "ewma", "params": {"bogus": 1}}})
+    call_line("quantile_bins", {"inputs": ["CAP", "NYSE"],
+                                "args": {"percentiles": [100.0 / 3.0, 200.0 / 3.0]},
+                                "name": "SIZE_TERCILES"})
+    attempt("market_vw", "mkt_", {})
+    call_line("export_graph", {"panel_id": "a1_HML_spread"})
+    call_line("build_report", {"spread": "a1_HML_spread", "characteristic": "a1_BM",
+                               "cap": "CAP", "size_bins": "SIZE_TERCILES",
+                               "models": {"CAPM": ["mkt_MKT"]}, "stratify_recipe": "hml"})
+    return lines
+
+
+def session_transcript(source_panels: dict, directory: Path) -> list[str]:
+    """Each request line of ``session_lines`` followed by its response line, then
+    one ``{"file", "sha256"}`` line per file the session saved, with ``directory``
+    written as ``SESSION_DIR``. A request that escapes ``handle_line`` (and so
+    would end ``serve``) is answered ``{"escaped": "<exception type>"}``."""
+    for panel in source_panels.values():
+        panelio.save(panel, directory / "sources")
+    server, transcript = ToolServer(), []
+    for line in session_lines(directory):
+        try:
+            response = server.handle_line(line)
+        except Exception as exc:  # noqa: BLE001 - the escape is what the golden records
+            response = json.dumps({"escaped": type(exc).__name__})
+        transcript += [line, response]
+    transcript += [json.dumps({"file": path.name,
+                               "sha256": hashlib.sha256(path.read_bytes()).hexdigest()})
+                   for path in sorted((directory / "out").iterdir())]
+    return [line.replace(str(directory), SESSION_DIR) for line in transcript]
+
+
+def test_a_session_replies_with_the_golden_lines(source_panels, tmp_path):
+    want = GOLDEN_SESSION.read_text(encoding="utf-8").splitlines()
+    got = session_transcript(source_panels, tmp_path)
+    for number, (expected, line) in enumerate(zip_longest(want, got, fillvalue=""), 1):
+        assert line == expected, (f"{GOLDEN_SESSION.name} line {number} differs:\n"
+                                  f"  golden  {expected[:300]}\n  session {line[:300]}")
+
+
+if __name__ == "__main__":  # rewrite the golden: PYTHONPATH=src python -m tests.test_toolserver
+    import tempfile
+
+    from factorlab.ingest import ingest_dataset
+    from factorlab.synthetic import generate_synthetic
+
+    with tempfile.TemporaryDirectory() as scratch:
+        data, session = Path(scratch) / "data", Path(scratch) / "session"
+        generate_synthetic(ORACLE_CONFIG, data)
+        panels = ingest_dataset(data / "monthly.csv", data / "annual.csv").panels
+        text = "".join(f"{line}\n" for line in session_transcript(panels, session))
+        GOLDEN_SESSION.write_text(text, encoding="utf-8")
