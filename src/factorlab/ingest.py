@@ -26,7 +26,9 @@ from .transforms import align_panels, annual_to_monthly, window_steps
 MONTHLY_HEADER = ["date", "asset_id", "ret", "cap", "capco", "exchange_nyse"]
 MONTHLY_PANELS = ("RET", "CAP", "CAPCO", "NYSE")  # one per value column of MONTHLY_HEADER
 ANNUAL_KEY_COLUMNS = ["fiscal_end", "asset_id"]
-_NEEDS_QUOTES = frozenset(',"\r\n')  # a CSV field holds these only when quoted
+# an asset id with these cannot be written: a CSV field holds the first four only
+# when quoted, and the csv module of Python 3.10 refuses a NUL anywhere
+_UNWRITABLE = frozenset(',"\r\n\0')
 READ_BATCH = 500  # rows per read_table batch; below the collector's gen-0 threshold of 700
 
 
@@ -48,8 +50,8 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
     column, and no field may repeat. A leading byte-order mark is dropped, blank
     lines are skipped, keys are stripped, values follow Python ``float`` and a
     blank value is missing. A bad row width, period or number, an asset id that
-    is empty or needs CSV quoting, or a duplicate key raises ``DataError``
-    naming the line.
+    is empty, needs CSV quoting or holds a NUL, or a duplicate key raises
+    ``DataError`` naming the line.
 
     Rows are taken from the CSV reader ``READ_BATCH`` at a time into one flat
     array of field strings. A row list is a garbage-collected container and a
@@ -100,11 +102,11 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
     col = np.array([position[asset] for asset in stripped], dtype=np.int64)[inverse]
     if assets[:1] == [""]:
         raise DataError(f"{_where(path, numbered, np.argmax(col == 0))}: empty {keys[1]}")
-    unwritable = [j for j, a in enumerate(assets) if not _NEEDS_QUOTES.isdisjoint(a)]
+    unwritable = [j for j, a in enumerate(assets) if not _UNWRITABLE.isdisjoint(a)]
     if unwritable:  # the CSV export writes asset ids unquoted
         k = np.argmax(np.isin(col, unwritable))
         raise DataError(f"{_where(path, numbered, k)}: {keys[1]} {assets[col[k]]!r} "
-                        f"holds a comma, quote or line break")
+                        f"holds a comma, quote or line break, or a NUL")
 
     keyed = np.zeros((len(dates), len(assets)), dtype=bool)
     keyed[row, col] = True

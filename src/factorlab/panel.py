@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -236,9 +236,9 @@ class Panel:
 
     The grid is read-only. A grid that can change under the panel (see
     ``_writable``) is copied once on construction; a read-only grid that owns
-    its memory, or views only read-only arrays, is shared as it is. So a panel
+    its memory, or views only read-only arrays, is shared as it is. A panel
     re-wrapped under another id or provenance (``to_series``, ``register``, a
-    reused step) shares its grid instead of copying it.
+    reused step) is a ``relabel``, which shares the grid and frame as they are.
     """
 
     panel_id: str
@@ -289,6 +289,14 @@ class Panel:
             ),
         )
 
+    def relabel(self, panel_id: str, provenance: ProvenanceRecord) -> "Panel":
+        """This panel's dates, assets and read-only grid under another id and
+        provenance. They were checked when this panel was built and cannot
+        change, so the new panel is built without running ``__post_init__`` again."""
+        panel = object.__new__(Panel)
+        panel.__dict__.update(self.__dict__, panel_id=panel_id, provenance=provenance)
+        return panel
+
     # -- introspection -----------------------------------------------------
 
     @property
@@ -330,7 +338,9 @@ class Panel:
         """
         if not self.is_series():
             raise DataError(f"panel {self.panel_id!r} has {self.n_assets} columns, expected 1")
-        return self if name is None or name == self.panel_id else replace(self, panel_id=name)
+        if name is None or name == self.panel_id:
+            return self
+        return self.relabel(name, self.provenance)
 
 
 class _Saved(NamedTuple):  # a saved panel in a registry, its values not read yet
@@ -348,9 +358,12 @@ class PanelRegistry:
     """Session-scoped id -> Panel map. Registration is the single write path.
 
     Ids are never reused; provenance inputs must already be registered, which
-    makes the provenance graph acyclic by construction. Saved panels restored
-    by ``load_registry`` read their values on the first ``get``. Registration
-    and that read are serialized with a lock, so reads are safe to share.
+    makes the provenance graph acyclic by construction. A registered entry is a
+    ``Panel.relabel`` of the panel handed in, which is not checked again: a
+    panel's frame and grid were checked when it was built and cannot change.
+    Saved panels restored by ``load_registry`` read their values on the first
+    ``get``. Registration and that read are serialized with a lock, so reads
+    are safe to share.
 
     The registry also remembers each computed operator step for the rest of
     the session, so that a repeat of it is answered without computing
@@ -414,9 +427,9 @@ class PanelRegistry:
                 panel_id = f"_{self._counter}"
             if not is_panel_id(panel_id):
                 raise RegistryError(f"invalid panel id {panel_id!r}")
-            self._panels[panel_id] = replace(
-                panel, panel_id=panel_id,
-                provenance=replace(panel.provenance, created_seq=self._counter))
+            record = panel.provenance
+            self._panels[panel_id] = panel.relabel(panel_id, ProvenanceRecord(
+                record.op_name, record.params, record.input_ids, self._counter))
             self._counter += 1
             return panel_id
 
@@ -441,12 +454,10 @@ class PanelRegistry:
             step = self._steps.get(key)
             if step is None:
                 return None
-            first = step.panel
-            inputs = tuple(input_ids[step.call_ids.index(i)]
-                           for i in first.provenance.input_ids)
-            panel_id = self.register(replace(
-                first, panel_id="", provenance=replace(first.provenance, input_ids=inputs)),
-                name)
+            first, record = step.panel, step.panel.provenance
+            inputs = tuple(input_ids[step.call_ids.index(i)] for i in record.input_ids)
+            panel_id = self.register(
+                first.relabel("", ProvenanceRecord(record.op_name, record.params, inputs)), name)
             self._tokens[panel_id] = first.panel_id
             return panel_id, step.summary
 

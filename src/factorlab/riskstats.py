@@ -196,7 +196,7 @@ def size_stratified_alphas(
     to a note instead of aborting the table.
     """
     vals = size_bins.values
-    codes = sorted({int(v) for v in vals[~np.isnan(vals)]})
+    codes = sorted({int(v) for v in np.unique(vals[~np.isnan(vals)]).tolist()})
     if not codes:
         raise DataError("size_bins panel has no binned assets")
 

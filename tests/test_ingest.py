@@ -119,6 +119,13 @@ class TestIngestMonthly:
                 f"line 4: asset_id {asset!r} holds a comma, quote or line break")):
             ingest_monthly(f)
 
+    def test_an_asset_id_with_a_nul_is_refused(self, tmp_path):
+        # Python 3.10's csv refuses the line; 3.11+ reads it and the id check names it
+        f = tmp_path / "m.csv"
+        write_monthly(f, ["1990-01,a,0.01,5,5,1", "1990-01,a\0b,0.01,5,5,1"])
+        with pytest.raises(DataError, match="NUL"):
+            ingest_monthly(f)
+
     @pytest.mark.parametrize("row, message", [
         ("1990-03,a,xyz,5,5,1", "line 5: bad number 'xyz' in column ret"),
         ("1990-03,a,0.01,5,5", "line 5: expected 6 fields"),

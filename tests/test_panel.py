@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import ingest
+from factorlab import ingest, ops
 from factorlab import panel as panelio
 from factorlab import transforms
 from factorlab.errors import DataError, RegistryError
@@ -280,6 +280,72 @@ class TestGridCopies:
         monkeypatch.setattr(panelio, "read_grid",
                             lambda *args: reads.append(real(*args)) or reads[-1])
         assert panelio.load(tmp_path, "A").values is reads[0]
+
+
+class TestRelabel:
+    """A registered, reused or relabelled panel is built without checking its
+    frame again, and shares the read-only grid of the panel it relabels."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch) -> list[str]:
+        """The id of each panel that ``Panel.__post_init__`` checks from now on."""
+        seen, real = [], Panel.__post_init__
+
+        def counted(panel):
+            seen.append(panel.panel_id)
+            real(panel)
+
+        monkeypatch.setattr(Panel, "__post_init__", counted)
+        return seen
+
+    def test_relabel_shares_the_frame_and_the_read_only_grid(self, checks):
+        p = make_panel("A", ["1990-01", "1990-02"], ["x", "y"], [[1.0, None], [3.0, 4.0]])
+        record = ProvenanceRecord("unary_op", {"op": "neg"}, ("A",), 7)
+        q = p.relabel("B", record)
+        assert checks == ["A"]
+        assert (q.panel_id, q.provenance) == ("B", record)
+        assert q.dates is p.dates and q.assets is p.assets
+        assert np.shares_memory(q.values, p.values) and not q.values.flags.writeable
+        with pytest.raises(ValueError):
+            q.values[0, 0] = 5.0
+        assert (p.panel_id, p.provenance.op_name) == ("A", "source")
+
+    def test_register_of_a_built_panel_runs_no_check(self, checks):
+        reg = PanelRegistry()
+        reg.register(make_panel("A", ["1990-01"], ["x"], [[1.0]]))
+        derived = Panel.derive("unary_op", {"op": "neg"}, [reg.get("A")],
+                               reg.get("A").dates, ("x",), np.array([[-1.0]]))
+        assert checks == ["A", ""]
+        pid = reg.register(derived, name="B")
+        assert checks == ["A", ""]
+        stored = reg.get(pid)
+        assert np.shares_memory(stored.values, derived.values)
+        assert not stored.values.flags.writeable
+        assert stored.provenance == ProvenanceRecord("unary_op", {"op": "neg"}, ("A",), 2)
+        assert derived.provenance.created_seq == -1 and derived.panel_id == ""
+
+    def test_a_reuse_hit_runs_no_check(self, checks):
+        reg = PanelRegistry()
+        reg.register(make_panel("A", ["1990-01", "1990-02"], ["x"], [[1.0], [2.0]]))
+        first, _ = ops.apply_step(reg, "lag", ["A"], {"k": 1}, name="L1")
+        del checks[:]
+        again, record = ops.apply_step(reg, "lag", ["A"], {"k": 1}, name="L2")
+        assert checks == []
+        assert record["n_nonmissing"] == 1
+        reused = reg.get(again)
+        assert np.shares_memory(reused.values, reg.get(first).values)
+        assert not reused.values.flags.writeable
+        assert reused.provenance == ProvenanceRecord("lag", {"k": 1}, ("A",), 3)
+
+    def test_to_series_keeps_the_provenance(self, checks):
+        reg = PanelRegistry()
+        reg.register(make_panel("S", ["1990-01"], ["value"], [[1.0]]))
+        series = reg.get("S")
+        named = series.to_series("T")
+        assert checks == ["S"]
+        assert (named.panel_id, named.provenance) == ("T", series.provenance)
+        assert named.provenance.created_seq == 1
+        assert np.shares_memory(named.values, series.values)
 
 
 META = {"panel_id": "P", "assets": ["a"], "dates": ["1990-01"], "date_span": [],
