@@ -1,11 +1,12 @@
-"""Command-line entry point: gen, ingest, run, report, graph, simk, plot, serve.
+"""Command-line entry point: gen, ingest, run, export, report, graph, simk, plot, serve.
 
-``ingest`` saves each source panel as its store (``<id>.npy`` and
-``<id>.meta.json``) plus the long-form ``<id>.csv`` export for people. ``run``
-saves the store of each source its recipe reads, so that its ``--out-dir``
-serves alone, and saves and exports the panels its steps made; the sources'
-export is ``ingest``'s alone. ``report``, ``graph`` and ``plot`` read the
-store of ``--data-dir``.
+``ingest`` saves the store (``<id>.npy`` and ``<id>.meta.json``) of each source
+panel. ``run`` saves the store of each source its recipe reads, so that its
+``--out-dir`` serves alone, and of each panel its steps made. ``report``,
+``graph``, ``plot`` and ``export`` read the store of ``--data-dir``. The
+long-form ``<id>.csv`` is written only on request: by ``export ID ...`` for
+saved panels, and by a ``run`` that succeeds for its result, the last step's
+output.
 
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime. Usage errors (bad
 options, ``--param``/``--model`` syntax, an invalid generator config, a Sim@k
@@ -88,6 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dry-run", action="store_true",
                      help="validate and print the step plan without executing")
 
+    exp = sub.add_parser(
+        "export", help="write saved panels as long-form CSV",
+        description="Write each saved panel of --data-dir to --out-dir as <ID>.csv: long form "
+                    "'date,asset,value' in date-major order, missing cells omitted. ingest and "
+                    "run save only the binary store, apart from run's result, so this is how "
+                    "any other panel becomes a CSV. Every ID is read before a file is written. "
+                    "An existing <ID>.csv that is not such an export, such as an input, is an "
+                    "error and is left as it is.")
+    exp.add_argument("panel_ids", nargs="+", metavar="ID", help="saved panel id")
+
     rep = sub.add_parser("report", help="build the standardized diagnostics report")
     rep.add_argument("--spread", required=True, help="saved spread panel id")
     rep.add_argument("--characteristic", required=True)
@@ -159,21 +170,11 @@ def _ingest_sources(args):
     return ingest_dataset(data / args.monthly, data / args.annual)
 
 
-def _save_panels(panels, out_dir) -> list[Path]:
-    """Write each panel's store and its long-form CSV export; returns the files.
-
-    ``ingest`` passes the sources it read; ``run`` passes only what its steps
-    made, and saves the stores of its sources without an export.
-    """
-    return [path for panel in panels
-            for path in (*panelio.save(panel, out_dir), panelio.export_csv(panel, out_dir))]
-
-
 def cmd_ingest(args) -> int:
     result = _ingest_sources(args)
-    for path in _save_panels((result.panels[name] for name in sorted(result.panels)),
-                             args.out_dir):
-        print(path)
+    for name in sorted(result.panels):
+        for path in panelio.save(result.panels[name], args.out_dir):
+            print(path)
     print(f"rows={result.n_rows} removed={json.dumps(result.removed, sort_keys=True)} "
           f"skipped={result.skipped_rows}")
     return EXIT_OK
@@ -208,6 +209,8 @@ def cmd_run(args) -> int:
         _save_run_outputs(registry, spec.sources, exc.outputs, args.out_dir)
         raise
     _save_run_outputs(registry, spec.sources, result.outputs, args.out_dir)
+    if spec.steps:
+        panelio.export_csv(registry.get(result.outputs[spec.steps[-1].output]), args.out_dir)
 
     run_log = {
         "recipe": spec.name,
@@ -225,9 +228,8 @@ def cmd_run(args) -> int:
 
 
 def _save_run_outputs(registry, sources, outputs, out_dir):
-    for name in sources:
-        panelio.save(registry.get(name), out_dir)
-    _save_panels(map(registry.get, outputs.values()), out_dir)
+    for panel_id in (*sources, *outputs.values()):
+        panelio.save(registry.get(panel_id), out_dir)
 
 
 def _load_data_registry(args):
@@ -235,6 +237,14 @@ def _load_data_registry(args):
     if not len(registry):
         _fail(EXIT_VALIDATION, f"no saved panels found in {args.data_dir}")
     return registry
+
+
+def cmd_export(args) -> int:
+    registry = _load_data_registry(args)
+    # every panel is read, and its grid checked, before the first file is written
+    for panel in [registry.get(panel_id) for panel_id in args.panel_ids]:
+        print(panelio.export_csv(panel, args.out_dir))
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -312,6 +322,7 @@ COMMANDS = {
     "gen": cmd_gen,
     "ingest": cmd_ingest,
     "run": cmd_run,
+    "export": cmd_export,
     "report": cmd_report,
     "graph": cmd_graph,
     "simk": cmd_simk,

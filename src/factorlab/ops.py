@@ -29,6 +29,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from types import ModuleType
 from typing import Callable, Sequence
 
@@ -73,6 +74,10 @@ class OperatorSpec:
     module: ModuleType | None = None  # defines the operator's function, under its name
     optional_input: str | None = None  # keyword of an input past inputs_min
     cross_check: Callable | None = None
+
+    @cached_property
+    def param_names(self) -> frozenset[str]:
+        return frozenset(p.name for p in self.params)
 
     def describe(self) -> dict:
         """Wire-format tool descriptor; deterministic field order by construction."""
@@ -161,9 +166,8 @@ def validate_args(spec: OperatorSpec, args: dict, n_inputs: int) -> dict:
     """Type-check and normalize an argument map; raises ArgError naming the field."""
     if not isinstance(args, dict):
         raise ArgError("args must be an object", "args")
-    known = {p.name for p in spec.params}
     for key in args:
-        if key not in known:
+        if key not in spec.param_names:
             raise ArgError(f"unknown argument {key!r} for op {spec.name!r}", key)
     if spec.inputs_max is not None and not spec.inputs_min <= n_inputs <= spec.inputs_max:
         expect = (str(spec.inputs_min) if spec.inputs_min == spec.inputs_max

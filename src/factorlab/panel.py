@@ -51,6 +51,7 @@ _PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 SERIES_ASSET = "value"
 _STORE_SUFFIXES = (".csv", ".npy", ".meta.json")  # the files of a saved panel, export included
+_CSV_HEADER = "date,asset,value"  # the first line of an export_csv file
 
 
 def is_panel_id(text: str) -> bool:
@@ -76,7 +77,8 @@ def ordinal_to_period(ordinal: int) -> str:
 
 class DateIndex:
     """Strictly increasing months, gaps allowed, kept as read-only int64 ``ordinals``;
-    ``periods`` are formatted on first access and cached, ``index[i]`` formats one."""
+    ``periods`` and the two-label ``span`` are formatted on first access and cached,
+    ``index[i]`` formats one."""
 
     def __init__(self, periods: Sequence[str]):
         self._fill([month_ordinal(p) for p in periods])
@@ -105,6 +107,11 @@ class DateIndex:
     @cached_property
     def periods(self) -> tuple[str, ...]:
         return tuple(map(ordinal_to_period, self.ordinals.tolist()))
+
+    @cached_property
+    def span(self) -> tuple[str, ...]:
+        """The first and last period, or ``()`` for an index without dates."""
+        return (self[0], self[-1]) if len(self) else ()
 
     def __len__(self) -> int:
         return len(self.ordinals)
@@ -310,7 +317,7 @@ class Panel:
     @property
     def date_span(self) -> list[str]:
         """The first and last period, or ``[]`` for a frame without dates."""
-        return [self.dates[0], self.dates[-1]] if len(self.dates) else []
+        return list(self.dates.span)
 
     def n_nonmissing(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.values)))
@@ -503,12 +510,21 @@ def save(panel: Panel, directory) -> list[Path]:
 def export_csv(panel: Panel, directory) -> Path:
     """Write ``<id>.csv``: long form ``date,asset,value`` in date-major order,
     missing cells omitted and values in shortest round-trip form. It is an
-    export for people and other tools; ``load`` never reads it."""
+    export for people and other tools; ``load`` never reads it.
+
+    An existing ``<id>.csv`` whose first line is not that header is some other
+    file, such as an input, so it is a ``DataError`` naming the file, which is
+    left as it is."""
     directory = _store_dir(directory, panel.panel_id)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{panel.panel_id}.csv"
+    if csv_path.exists():
+        with csv_path.open("rb") as fh:
+            if fh.readline(len(_CSV_HEADER) + 2).rstrip(b"\r\n") != _CSV_HEADER.encode():
+                raise DataError(f"{csv_path}: not a panel export, so it is not replaced: "
+                                f"its first line is not {_CSV_HEADER}")
     i, j = np.nonzero(~np.isnan(panel.values))
-    text = ["date,asset,value\n"]
+    text = [f"{_CSV_HEADER}\n"]
     if i.size:  # a float's repr never holds ", ", but repr([]) would split into one empty value
         values = repr(panel.values[i, j].tolist())[1:-1].split(", ")
         periods = np.array([f"{period}," for period in panel.dates.periods], dtype=object)[i]

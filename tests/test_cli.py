@@ -31,6 +31,8 @@ CHAIN_INPUTS = ["--seed", "11", "gen", "--n-assets", "30", "--n-months", "72",
                 "--val-spread", "0.003", "--mom-spread", "0.004", "--missing-ret-rate", "0.02"]
 CHAIN_RECIPES = ("hml", "jkp_momentum", "market_vw", "ewma_vol")
 GOLDEN_CHAIN = GOLDEN / "chain.sha256"
+# the digest of each CSV that the chain wrote when ingest and run exported every panel
+GOLDEN_EXPORT = GOLDEN / "chain_export.sha256"
 
 
 def factorlab(directory, *argv) -> int:
@@ -140,8 +142,7 @@ def test_all_missing_step_exits_3_after_saving_the_steps_before_it(workdir, tmp_
         cli.main(["--data-dir", str(directory), "--out-dir", str(out), "run", str(recipe)])
     assert exc.value.code == cli.EXIT_RUNTIME
     assert sorted(p.name for p in out.iterdir()) == [
-        "CAP.meta.json", "CAP.npy",
-        "HUGE_CAP.csv", "HUGE_CAP.meta.json", "HUGE_CAP.npy"]
+        "CAP.meta.json", "CAP.npy", "HUGE_CAP.meta.json", "HUGE_CAP.npy"]
 
 
 def test_unknown_recipe_is_a_validation_error(workdir):
@@ -341,14 +342,27 @@ def test_an_annual_column_that_cannot_be_its_own_panel_writes_nothing(workdir, t
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_ingest_and_run_export_each_saved_panel_as_csv(workdir, tmp_path):
+def test_an_export_never_replaces_an_input_csv(workdir, tmp_path, monkeypatch, capsys):
+    """Under the default ``--data-dir . --out-dir .``, a recipe whose result is
+    named ``monthly`` would replace the input ``monthly.csv``, and the next
+    ``run`` could not read it."""
     directory, _ = workdir
-    metas = sorted(directory.glob("*.meta.json"))
-    assert len(metas) > 30
-    for meta in metas:
-        saved = panelio.load(directory, meta.name[:-len(".meta.json")])
-        export = directory / f"{saved.panel_id}.csv"
-        assert export.read_bytes() == panelio.export_csv(saved, tmp_path).read_bytes()
+    for name in ("monthly.csv", "annual.csv"):
+        shutil.copyfile(directory / name, tmp_path / name)
+    inputs = (tmp_path / "monthly.csv").read_bytes()
+    (tmp_path / "lag.json").write_text(json.dumps({
+        "name": "lag", "params": {}, "sources": ["RET"],
+        "steps": [{"op": "lag", "args": {"k": 1}, "inputs": ["RET"], "output": "monthly"}]}))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["run", "lag.json"], ["export", "monthly"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_VALIDATION, argv
+        assert only_error_line(capsys.readouterr().err) == (
+            "error: monthly.csv: not a panel export, so it is not replaced: "
+            "its first line is not date,asset,value")
+        assert (tmp_path / "monthly.csv").read_bytes() == inputs, argv
+    assert cli.main(["run", "market_vw"]) == cli.EXIT_OK
 
 
 def fail(*panels):
@@ -358,6 +372,8 @@ def fail(*panels):
 @pytest.mark.parametrize("last_step_fails", [False, True], ids=["success", "step_error"])
 def test_run_exports_only_the_panels_its_steps_made(workdir, tmp_path, monkeypatch,
                                                     last_step_fails):
+    """``run`` saves the store of its sources and of each step it finished, and
+    exports only its result, the last step's output, once every step ran."""
     directory, hml_log = workdir
     made = dict(hml_log["outputs"])
     if last_step_fails:
@@ -377,10 +393,10 @@ def test_run_exports_only_the_panels_its_steps_made(workdir, tmp_path, monkeypat
     else:
         assert code == cli.EXIT_OK
         assert json.loads((out / "run_log.json").read_text())["outputs"] == made
-    assert sorted(exported) == sorted(made.values())
-    assert sorted(p.name for p in out.glob("*.csv")) == sorted(f"{i}.csv" for i in exported)
-    for source in hml_log["sources"]:
-        assert (out / f"{source}.npy").exists() and (out / f"{source}.meta.json").exists()
+    assert exported == ([] if last_step_fails else ["HML_spread"])
+    assert sorted(p.name for p in out.glob("*.csv")) == [f"{i}.csv" for i in exported]
+    for panel_id in (*hml_log["sources"], *made.values()):
+        assert (out / f"{panel_id}.npy").exists() and (out / f"{panel_id}.meta.json").exists()
 
 
 def test_a_chain_without_ingest_serves_from_runs_out_dir_and_exports_no_source(tmp_path):
@@ -406,7 +422,8 @@ def only_error_line(err: str) -> str:
     ["plot", "HML_spread", "MKT"],
     ["simk", "MANIFEST", "--k", "1"],
     ["run", "hml"],
-], ids=["report", "graph", "plot", "simk", "run"])
+    ["export", "HML_spread", "MKT"],
+], ids=["report", "graph", "plot", "simk", "run", "export"])
 def test_an_out_dir_that_is_a_file_is_a_runtime_error(workdir, tmp_path, capsys, argv):
     directory, _ = workdir
     manifest = tmp_path / "manifest.json"
@@ -451,8 +468,9 @@ def test_a_recipe_source_that_was_not_ingested_is_a_validation_error(workdir, tm
 
 
 @pytest.mark.parametrize("argv", [["graph", "NOPE"], ["plot", "NOPE", "MKT"],
-                                  ["plot", "HML_spread", "NOPE"]],
-                         ids=["graph", "plot", "plot_benchmark"])
+                                  ["plot", "HML_spread", "NOPE"], ["export", "NOPE"],
+                                  ["export", "MKT", "NOPE"]],
+                         ids=["graph", "plot", "plot_benchmark", "export", "export_after_mkt"])
 def test_an_unknown_panel_id_is_a_validation_error(workdir, tmp_path, capsys, argv):
     directory, _ = workdir
     out = tmp_path / "out"
@@ -475,6 +493,13 @@ def test_serve_turns_an_escaping_tool_error_into_one_error_line(workdir, monkeyp
     assert only_error_line(err) == "error: duplicate panel id 'MKT'"
 
 
+def digest_lines(directory: Path) -> str:
+    """One ``name sha256`` line per file under ``directory``, by relative name."""
+    return "".join(f"{path.relative_to(directory).as_posix()} "
+                   f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+                   for path in sorted(directory.rglob("*")) if path.is_file())
+
+
 def chain_digests(directory: Path) -> str:
     """Runs the fixed chain in ``directory`` and returns one ``name sha256`` line
     per file it leaves, with the step ``seconds`` of ``run_log.json`` zeroed first.
@@ -493,21 +518,53 @@ def chain_digests(directory: Path) -> str:
     for step in log["steps"]:
         step["seconds"] = 0.0
     run_log.write_text(json.dumps(log, sort_keys=True, indent=2) + "\n")
-    return "".join(f"{path.relative_to(directory).as_posix()} "
-                   f"{hashlib.sha256(path.read_bytes()).hexdigest()}\n"
-                   for path in sorted(directory.rglob("*")) if path.is_file())
+    return digest_lines(directory)
 
 
-def test_the_chain_writes_the_golden_bytes(tmp_path):
+def export_digests(directory: Path, target: Path) -> str:
+    """Runs ``export`` on the panel of each ``[<folder>/]<id>.csv`` named in
+    ``chain_export.sha256``, from the chain's store in ``directory/<folder>`` to
+    ``target/<folder>``, and returns the digest lines of ``target``."""
+    folders: dict[str, list[str]] = {}
+    for line in GOLDEN_EXPORT.read_text().splitlines():
+        folder, _, name = line.split()[0].rpartition("/")
+        folders.setdefault(folder, []).append(name[:-len(".csv")])
+    for folder, ids in folders.items():
+        assert cli.main(["--data-dir", str(directory / folder), "--out-dir", str(target / folder),
+                         "export", *ids]) == 0, folder
+    return digest_lines(target)
+
+
+def differing(golden: Path, digests: str) -> list[str]:
+    """The files whose line in ``digests`` is not the one in ``golden``."""
     want, got = (dict(line.split() for line in text.splitlines())
-                 for text in (GOLDEN_CHAIN.read_text(), chain_digests(tmp_path)))
-    differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
-    assert not differ, f"files that differ from {GOLDEN_CHAIN.name}: {', '.join(differ)}"
+                 for text in (golden.read_text(), digests))
+    return sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
 
 
-if __name__ == "__main__":  # rewrite the golden: PYTHONPATH=src python -m tests.test_cli
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The directory where the fixed chain ran, and the digest lines of its files."""
+    directory = tmp_path_factory.mktemp("chain")
+    return directory, chain_digests(directory)
+
+
+def test_the_chain_writes_the_golden_bytes(chain):
+    assert differing(GOLDEN_CHAIN, chain[1]) == []
+
+
+def test_export_writes_the_csvs_that_ingest_and_run_no_longer_write(chain, tmp_path):
+    directory, _ = chain
+    assert differing(GOLDEN_EXPORT, export_digests(directory, tmp_path)) == []
+    assert [line for line in GOLDEN_EXPORT.read_text().splitlines()
+            if directory.joinpath(line.split()[0]).exists()] == []
+
+
+if __name__ == "__main__":  # rewrite the goldens: PYTHONPATH=src python -m tests.test_cli
     import contextlib
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
-        GOLDEN_CHAIN.write_text(chain_digests(Path(scratch)))
+    with tempfile.TemporaryDirectory() as chain_dir, tempfile.TemporaryDirectory() as target, \
+            contextlib.redirect_stdout(io.StringIO()):
+        GOLDEN_CHAIN.write_text(chain_digests(Path(chain_dir)))
+        GOLDEN_EXPORT.write_text(export_digests(Path(chain_dir), Path(target)))

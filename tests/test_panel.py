@@ -444,6 +444,17 @@ class TestSaveLoad:
                 store(inner, panel_id)
         assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == files
 
+    @pytest.mark.parametrize("first", [b"", b"date,asset_id,ret\n", b"date,asset,values\n",
+                                       b"\xff\n"])
+    def test_export_replaces_an_export_and_nothing_else(self, tmp_path, first):
+        p = make_panel("P", ["1990-01"], ["a"], [[1.0]])
+        (tmp_path / "P.csv").write_text("date,asset,value\n1990-01,a,9.0\n")
+        assert panelio.export_csv(p, tmp_path).read_text() == "date,asset,value\n1990-01,a,1.0\n"
+        (tmp_path / "P.csv").write_bytes(first + b"1990-01,a,9.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'P.csv'}: not a panel export")):
+            panelio.export_csv(p, tmp_path)
+        assert (tmp_path / "P.csv").read_bytes() == first + b"1990-01,a,9.0\n"
+
     def test_load_rejects_cell_outside_frame(self, tmp_path):
         p = make_panel("P", ["1990-01"], ["a"], [[1.0]])
         panelio.save(p, tmp_path)
