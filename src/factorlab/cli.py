@@ -288,13 +288,11 @@ def cmd_simk(args) -> int:
     ks = sorted(set(args.k))
     if any(k < 1 for k in ks):
         _fail(EXIT_USAGE, "k values must be >= 1")
-    try:
-        table = evalharness.evaluate_manifest(args.manifest, ks,
-                                              failure_score=args.failure_score)
-    except EngineError as exc:
-        if "outside 1.." in str(exc):
-            _fail(EXIT_USAGE, str(exc))
-        raise
+    tasks = evalharness.load_manifest(args.manifest)
+    for task in tasks:
+        if ks[-1] > len(task.attempts):
+            _fail(EXIT_USAGE, f"task {task.task_id!r}: k={ks[-1]} outside 1..{len(task.attempts)}")
+    table = evalharness.evaluate_tasks(tasks, ks, failure_score=args.failure_score)
     sys.stdout.write(evalharness.format_simk_table(table))
     _write(args, "simk.json", json.dumps(table, sort_keys=True, indent=2) + "\n")
     return EXIT_OK

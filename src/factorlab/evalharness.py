@@ -171,10 +171,8 @@ def load_manifest(manifest_path) -> list[AttemptSet]:
     return out
 
 
-def evaluate_manifest(manifest_path, ks,
-                      failure_score: float = FAILED_ATTEMPT_SCORE) -> dict:
-    """Per-task and aggregate Sim@k table for the requested k values."""
-    tasks = load_manifest(manifest_path)
+def evaluate_tasks(tasks, ks, failure_score: float = FAILED_ATTEMPT_SCORE) -> dict:
+    """Per-task and aggregate Sim@k table of a manifest's tasks for the requested k."""
     results = [evaluate_task(t, ks, failure_score=failure_score) for t in tasks]
     table = {
         "tasks": [
@@ -195,7 +193,7 @@ def evaluate_manifest(manifest_path, ks,
 
 
 def format_simk_table(table: dict) -> str:
-    """Aligned text rendering of an evaluate_manifest result, 4 decimals."""
+    """Aligned text rendering of an evaluate_tasks result, 4 decimals."""
     ks = sorted(table["aggregate_sim_at_k"], key=int)
     header = ["task", "n"] + [f"Sim@{k}" for k in ks]
     rows = [header]

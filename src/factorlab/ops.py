@@ -6,9 +6,12 @@ static validation and the wire schema cannot drift apart. Both run a step
 through ``apply_step``, so they compute, check and record it the same way,
 and both share the registry's step-reuse map: a step already computed in the
 session, on the same op, canonical arguments and input contents, registers
-a new panel sharing the first output's grid instead of running again.
+a new panel sharing the first output's grid instead of running again. Every
+operator takes part, so each one's result must depend on its step key alone.
 ``validate_args`` is the one check of an operator's arguments: the functions
-trust what it returns and check only the data.
+trust what it returns and check only the data. The one exception is the keys
+of ``trend``'s ``params`` map, which the chosen transform's own signature
+refuses with ``TypeError``.
 The tool server declares and checks its non-operator tools with the same
 ``OperatorSpec``/``validate_args`` (no module, no inputs); they stay out of
 ``OPERATORS``, so recipes cannot name them.
@@ -235,11 +238,10 @@ def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args:
     spec = get_operator(op)
     normalized = validate_args(spec, args, len(input_ids))
     input_ids = tuple(input_ids)
-    key = None if op in _NOT_REUSED else registry.step_key(
-        op, json.dumps(normalized, sort_keys=True), input_ids)
+    key = registry.step_key(op, json.dumps(normalized, sort_keys=True), input_ids)
     started = time.perf_counter()
     try:
-        reused = key is not None and registry.reuse(key, input_ids, name)
+        reused = registry.reuse(key, input_ids, name)
     except RegistryError as exc:
         raise ArgError(str(exc), "name") from exc
     if reused:
@@ -267,8 +269,7 @@ def apply_step(registry: PanelRegistry, op: str, input_ids: Sequence[str], args:
             "n_months_nonnull": int(np.count_nonzero(live.any(axis=1))),
         }
         flags = tuple(flags)
-        if key is not None:
-            registry.remember(key, panel_id, input_ids, (counts, flags))
+        registry.remember(key, panel_id, input_ids, (counts, flags))
     return panel_id, {
         "op": op,
         "panel_id": panel_id,
@@ -315,15 +316,6 @@ def _quantile_check(args, n_inputs):
     pcts = args["percentiles"]
     if any(q <= p for p, q in zip(pcts, pcts[1:])):
         raise ArgError("percentiles must be strictly increasing", "percentiles")
-
-
-def _trend_check(args, n_inputs):
-    if args["name"] not in transforms.series_transform_names():
-        raise ArgError(
-            f"unknown series transform {args['name']!r}; "
-            f"registered: {transforms.series_transform_names()}",
-            "name",
-        )
 
 
 OPERATORS: dict[str, OperatorSpec] = {spec.name: spec for spec in (
@@ -439,13 +431,16 @@ OPERATORS: dict[str, OperatorSpec] = {spec.name: spec for spec in (
         "panel", transforms,
     ),
     OperatorSpec(
-        "trend", "Apply a named registered series transform independently per asset.",
+        "trend", "Apply identity, cumsum or ewma independently per asset.",
         1, 1, "input panel",
         (
-            ParamSpec("name", "string", required=True, doc="registered transform name"),
-            ParamSpec("params", "map", doc="keyword parameters for the transform"),
+            ParamSpec("name", "string", required=True,
+                      choices=tuple(transforms.SERIES_TRANSFORMS),
+                      doc="one of identity, cumsum, ewma"),
+            ParamSpec("params", "map",
+                      doc="keyword parameters: alpha and min_periods for ewma"),
         ),
-        "panel", transforms, cross_check=_trend_check,
+        "panel", transforms,
     ),
     OperatorSpec(
         "annual_to_monthly", "Carry annual placement-month values forward monthly.",
@@ -514,10 +509,6 @@ OPERATORS: dict[str, OperatorSpec] = {spec.name: spec for spec in (
         "series", portfolio,
     ),
 )}
-
-# operators whose result depends on more than their step key: trend runs a
-# series transform looked up by name at call time, which may be re-registered
-_NOT_REUSED = frozenset({"trend"})
 
 # operators whose function records per-date flags; read once from the signatures
 _TAKES_FLAGS = frozenset(

@@ -13,16 +13,17 @@ the date index still consumes window capacity.
 
 The operator table in ``ops`` checks arguments once, before a recipe step or a
 tool call reaches a function here; the functions trust their arguments and
-check only the data (asset sets, a series transform's output shape).
+check only the data: asset sets, and that a series input has one column.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError
 from .panel import SERIES_ASSET, DateIndex, Panel, reframe
 
 BINARY_OPS = ("add", "sub", "mul", "div")
@@ -416,7 +417,7 @@ def ewma(a: Panel, alpha: float, min_periods: int = 1) -> Panel:
     return Panel.derive("ewma", params, [a], a.dates, a.assets, out)
 
 
-def _ewma_grid(grid: np.ndarray, alpha: float, min_periods: int) -> np.ndarray:
+def _ewma_grid(grid: np.ndarray, alpha: float, min_periods: int = 1) -> np.ndarray:
     """The ``ewma`` recursion down every column of a grid, one date at a time."""
     out = np.full(grid.shape, np.nan)
     state = np.full(grid.shape[1], np.nan)
@@ -430,56 +431,28 @@ def _ewma_grid(grid: np.ndarray, alpha: float, min_periods: int) -> np.ndarray:
     return out
 
 
-# -- per-asset trend extension point -----------------------------------------
+# -- per-asset trend menu ------------------------------------------------------
 
-_SERIES_TRANSFORMS: dict[str, Callable] = {}
-
-
-def register_series_transform(name: str, factory: Callable) -> None:
-    """Register a named per-asset series transform usable through ``trend``.
-
-    ``factory(**params)`` must return a function mapping a T x N float grid
-    (NaN = missing, one column per asset) to a grid of the same shape, each
-    output column computed from its own input column alone. Named
-    registration is the bounded substitute for arbitrary generated code.
-    """
-    _SERIES_TRANSFORMS[name] = factory
-
-
-def series_transform_names() -> list[str]:
-    return sorted(_SERIES_TRANSFORMS)
+# name -> grid function for ``trend``; each maps a T x N grid to one of the same
+# shape, every column from its own column alone, and takes the params as keywords.
+# The menu is read-only: the step-reuse map keys a trend step by its name, not its function.
+SERIES_TRANSFORMS: Mapping[str, Callable] = MappingProxyType({
+    "identity": lambda grid: grid,
+    "cumsum": lambda grid: np.where(np.isnan(grid), np.nan, np.nancumsum(grid, axis=0)),
+    "ewma": _ewma_grid,
+})
 
 
 def trend(a: Panel, name: str, params: dict | None = None) -> Panel:
-    """Apply a registered series transform independently to each asset.
+    """Apply one of the fixed series transforms independently to each asset.
 
-    The transform gets a writable copy of the whole grid in one call.
+    A ``params`` key the transform does not take raises ``TypeError``.
     """
-    fn = _SERIES_TRANSFORMS[name](**(params or {}))
-    out = np.asarray(fn(a.values.copy()), dtype=np.float64)
-    if out.shape != a.values.shape:
-        raise DataError(f"series transform {name!r} changed the grid shape")
+    out = SERIES_TRANSFORMS[name](a.values, **(params or {}))
     record = {"name": name}
     if params:
         record["params"] = params
     return Panel.derive("trend", record, [a], a.dates, a.assets, out)
-
-
-def _identity_factory():
-    return lambda grid: grid
-
-
-def _cumsum_factory():
-    return lambda grid: np.where(np.isnan(grid), np.nan, np.nancumsum(grid, axis=0))
-
-
-def _ewma_factory(alpha: float, min_periods: int = 1):
-    return lambda grid: _ewma_grid(grid, alpha, min_periods)
-
-
-register_series_transform("identity", _identity_factory)
-register_series_transform("cumsum", _cumsum_factory)
-register_series_transform("ewma", _ewma_factory)
 
 
 # -- annual placement ----------------------------------------------------------

@@ -216,6 +216,28 @@ def test_simk_on_saved_panels(workdir, tmp_path):
     assert table["aggregate_sim_at_k"]["3"] == 1.0
 
 
+def test_simk_with_k_above_a_tasks_attempts_is_a_usage_error(workdir, tmp_path, capsys):
+    directory, _ = workdir
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tasks": [{
+        "task_id": "hml",
+        "reference": str(directory / "HML_spread.csv"),
+        "attempts": [str(directory / "HML_spread.csv"), None],
+    }]}))
+    assert exit_code(tmp_path, "simk", str(manifest), "--k", "1", "2", "3") == cli.EXIT_USAGE
+    assert only_error_line(capsys.readouterr().err) == "error: task 'hml': k=3 outside 1..2"
+    assert not (tmp_path / "simk.json").exists()
+
+
+@pytest.mark.parametrize("manifest", ["missing", b"[]"])
+def test_simk_bad_manifest_is_a_validation_error_whatever_its_path(tmp_path, manifest):
+    path = tmp_path / "outside 1..x" / "manifest.json"  # the text of the k error
+    path.parent.mkdir()
+    if manifest != "missing":
+        path.write_bytes(manifest)
+    assert exit_code(tmp_path, "simk", str(path)) == cli.EXIT_VALIDATION
+
+
 @pytest.mark.parametrize("manifest", [
     "directory", "missing", b"\xff{}", b"[]",
     {"tasks": [{"reference": "HML_spread.csv"}]},

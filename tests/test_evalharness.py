@@ -192,7 +192,7 @@ class TestManifest:
 
     def test_worked_example_formatting(self, tmp_path):
         path = self._manifest(tmp_path)
-        table = ev.evaluate_manifest(path, ks=[1, 2])
+        table = ev.evaluate_tasks(ev.load_manifest(path), ks=[1, 2])
         task = table["tasks"][0]
         assert task["sim_at_k"]["1"] == 0.75
         assert task["sim_at_k"]["2"] == 1.0
@@ -201,7 +201,7 @@ class TestManifest:
 
     def test_aggregate_of_one_task(self, tmp_path):
         path = self._manifest(tmp_path)
-        table = ev.evaluate_manifest(path, ks=[1])
+        table = ev.evaluate_tasks(ev.load_manifest(path), ks=[1])
         assert table["aggregate_sim_at_k"]["1"] == 0.75
 
     @pytest.mark.parametrize("suffix", [".csv", ".npy", ".meta.json"])
@@ -212,16 +212,16 @@ class TestManifest:
         task["reference"] = f"panels/REF{suffix}"
         task["attempts"] = [f"panels/A1{suffix}", f"panels/A2{suffix}"]
         path.write_text(json.dumps(doc))
-        assert ev.evaluate_manifest(path, ks=[1])["aggregate_sim_at_k"]["1"] == 0.75
+        assert ev.evaluate_tasks(ev.load_manifest(path), ks=[1])["aggregate_sim_at_k"]["1"] == 0.75
 
     def test_an_entry_that_is_not_a_saved_panel_file_is_refused(self, tmp_path):
         path = self._manifest(tmp_path)
         path.write_text(path.read_text().replace("panels/A1.csv", "panels/A1.txt"))
         with pytest.raises(DataError, match=r"\.csv, \.npy, \.meta\.json file, got .*A1\.txt"):
-            ev.evaluate_manifest(path, ks=[1])
+            ev.evaluate_tasks(ev.load_manifest(path), ks=[1])
 
     def test_bad_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{}")
         with pytest.raises(DataError):
-            ev.evaluate_manifest(path, ks=[1])
+            ev.evaluate_tasks(ev.load_manifest(path), ks=[1])

@@ -126,6 +126,13 @@ class TestIngestMonthly:
         with pytest.raises(DataError, match="NUL"):
             ingest_monthly(f)
 
+    def test_a_period_with_a_trailing_nul_is_refused(self, tmp_path):
+        # Python 3.10's csv refuses the line; 3.11+ reads it and the period check names it
+        f = tmp_path / "m.csv"
+        write_monthly(f, ["1990-01,a,0.01,5,5,1", "1990-02\0,a,0.01,5,5,1"])
+        with pytest.raises(DataError, match="NUL|bad period"):
+            ingest_monthly(f)
+
     @pytest.mark.parametrize("row, message", [
         ("1990-03,a,xyz,5,5,1", "line 5: bad number 'xyz' in column ret"),
         ("1990-03,a,0.01,5,5", "line 5: expected 6 fields"),

@@ -339,11 +339,23 @@ def test_a_step_whose_name_is_refused_is_not_remembered(computed):
     assert registry.ids() == ["X", "Y", "U", "_4"]
 
 
-def test_trend_is_computed_on_every_call(computed):
+def test_a_repeated_trend_is_answered_from_the_reuse_map(computed):
     registry = small_registry()
+    first, _ = apply_step(registry, "trend", ["X"], {"name": "cumsum"})
+    again, _ = apply_step(registry, "trend", ["X"], {"name": "cumsum"})
+    assert computed == ["trend"]
+    assert registry.get(again).values is registry.get(first).values
+    assert registry.get(first).values.tolist() == [[1.0, 2.0], [4.0, -2.0]]
+
+
+def test_a_trend_with_a_bad_params_key_is_not_remembered(computed):
+    registry = small_registry()
+    before = registry.ids()
     for _ in range(2):
-        apply_step(registry, "trend", ["X"], {"name": "cumsum"})
+        with pytest.raises(TypeError, match="bogus"):
+            apply_step(registry, "trend", ["X"], {"name": "ewma", "params": {"bogus": 1}})
     assert computed == ["trend", "trend"]
+    assert registry.ids() == before
 
 
 CALLS = [  # (op, inputs, args, name): repeats of earlier calls, under their own names

@@ -350,14 +350,8 @@ class TestTrend:
         np.testing.assert_array_equal(out[:, 0], [np.nan, 1.0, np.nan, 3.5, np.nan])
         np.testing.assert_array_equal(out[:, 1], [1.0, np.nan, np.nan, -2.0, -1.0])
 
-    def test_transform_that_changes_the_shape(self, monkeypatch):
-        monkeypatch.setitem(tr._SERIES_TRANSFORMS, "drop_last", lambda: lambda grid: grid[:-1])
-        p = make_panel("P", ["2000-01", "2000-02"], ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(DataError, match="changed the grid shape"):
-            tr.trend(p, "drop_last")
-
     def test_unknown_parameter_names_the_factory(self):
-        with pytest.raises(TypeError, match=r"^_ewma_factory\(\) got an unexpected "
+        with pytest.raises(TypeError, match=r"^_ewma_grid\(\) got an unexpected "
                                             r"keyword argument 'bogus'$"):
             tr.trend(row_panel([1.0]), "ewma", {"bogus": 1})
 
