@@ -8,6 +8,11 @@ long-form ``<id>.csv`` is written only on request: by ``export ID ...`` for
 saved panels, and by a ``run`` that succeeds for its result, the last step's
 output.
 
+After its store, ``ingest`` writes ``<out-dir>/ingest.json``: the version, each CSV's
+name and sha256, each source's digest and the row counts. ``run`` loads its sources
+from that store while the record matches its version, CSVs and each loaded source;
+else, a missing or malformed record too, it parses the CSVs and records its sources.
+
 Exit codes: 0 success, 1 usage, 2 validation, 3 runtime. Usage errors (bad
 options, ``--param``/``--model`` syntax, an invalid generator config, a Sim@k
 ``k`` outside the attempts) exit 1 where they are found. Every other failure
@@ -21,14 +26,17 @@ series) exits 2. Only the generator consumes randomness, and it honors
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
+from . import __version__
 from . import panel as panelio
 from . import evalharness, pipeline, plotting, report, synthetic, transforms
-from .errors import EngineError, StepExecutionError
+from .errors import DataError, EngineError, StepExecutionError
 from .panel import PanelRegistry
 from .toolserver import ToolServer
 
@@ -39,6 +47,8 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 SIZE_TERCILES = [100.0 / 3.0, 200.0 / 3.0]
+RECORD = "ingest.json"  # what made the store in an out-dir; see the module docstring
+log = logging.getLogger("factorlab.cli")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--monthly", default="monthly.csv")
     ing.add_argument("--annual", default="annual.csv")
 
-    run = sub.add_parser("run", help="validate and execute a recipe")
+    run = sub.add_parser("run", help="validate and execute a recipe", description=(
+        "Validate and execute a recipe. --out-dir's ingest.json records the sha256 of the CSVs "
+        "and of each source saved from them. When the CSVs and every source the recipe reads "
+        "still match it, the sources are loaded from that store instead of parsed."))
     run.add_argument("recipe", help="recipe path or shipped name (hml, jkp_momentum, ...)")
     run.add_argument("--monthly", default="monthly.csv")
     run.add_argument("--annual", default="annual.csv")
@@ -170,11 +183,62 @@ def _ingest_sources(args):
     return ingest_dataset(data / args.monthly, data / args.annual)
 
 
+def _input_record(args) -> dict | None:
+    """The version and each CSV's name and sha256, or None when a CSV cannot be
+    read: parsing it then raises the reader's error."""
+    record = {"version": __version__}
+    for role in ("monthly", "annual"):
+        path, digest = Path(args.data_dir) / getattr(args, role), hashlib.sha256()
+        try:  # blocks under malloc's mmap threshold: 1 MB ones raised ingest's peak RSS
+            with path.open("rb") as fh:
+                for block in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(block)
+        except OSError:
+            return None
+        record[role] = {"file": path.name, "sha256": digest.hexdigest()}
+    return record
+
+
+def _panel_digest(panel) -> str:
+    """sha256 of a source panel's frame, provenance params and grid bytes."""
+    head = json.dumps([list(panel.dates), panel.assets, panel.provenance.params], sort_keys=True)
+    return hashlib.sha256(head.encode() + panel.values.tobytes()).hexdigest()
+
+
+def _write_record(out_dir, inputs, ingested, panels) -> None:
+    """Record ``panels`` as saved from the ``inputs`` CSVs, whole, by ``os.replace``."""
+    if inputs is None:
+        return
+    record = {**inputs, "sources": {panel.panel_id: _panel_digest(panel) for panel in panels},
+              "n_rows": ingested.n_rows, "removed": ingested.removed,
+              "skipped_rows": ingested.skipped_rows}
+    temporary = Path(out_dir) / f".{RECORD}.{os.getpid()}"
+    temporary.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    os.replace(temporary, Path(out_dir) / RECORD)
+
+
+def _stored_sources(args, names, inputs):
+    """The panels ``names`` and the screening counts from --out-dir's store, when
+    its record shows that they were saved from the ``inputs`` CSVs; else None."""
+    try:
+        record = json.loads((Path(args.out_dir) / RECORD).read_text(encoding="utf-8"))
+        if inputs and all(record[key] == value for key, value in inputs.items()):
+            digests = [record["sources"][name] for name in names]
+            panels = {name: panelio.load(args.out_dir, name) for name in names}
+            if list(map(_panel_digest, panels.values())) == digests:
+                return panels, record["removed"]
+    except (OSError, ValueError, KeyError, TypeError, DataError):
+        pass
+    return None
+
+
 def cmd_ingest(args) -> int:
+    inputs = _input_record(args)  # before parsing: a file changed since has a stale digest
     result = _ingest_sources(args)
     for name in sorted(result.panels):
         for path in panelio.save(result.panels[name], args.out_dir):
             print(path)
+    _write_record(args.out_dir, inputs, result, result.panels.values())
     print(f"rows={result.n_rows} removed={json.dumps(result.removed, sort_keys=True)} "
           f"skipped={result.skipped_rows}")
     return EXIT_OK
@@ -201,14 +265,21 @@ def cmd_run(args) -> int:
             print(f"  {i:3d}  {step.op}({', '.join(step.inputs)}) -> {step.output}")
         return EXIT_OK
 
-    ingested = _ingest_sources(args)
+    inputs = _input_record(args)
+    stored = _stored_sources(args, spec.sources, inputs)
+    log.info("sources %s", f"loaded from the store {Path(args.out_dir) / RECORD} records"
+             if stored else f"parsed from {args.monthly} and {args.annual}")
+    ingested = None if stored else _ingest_sources(args)
+    sources, removed = stored or (ingested.panels, ingested.removed)
     registry = PanelRegistry()
     try:
-        registry, result = pipeline.run_recipe(spec, ingested.panels, registry=registry)
+        registry, result = pipeline.run_recipe(spec, sources, registry=registry)
     except StepExecutionError as exc:
         _save_run_outputs(registry, spec.sources, exc.outputs, args.out_dir)
         raise
     _save_run_outputs(registry, spec.sources, result.outputs, args.out_dir)
+    if not stored:
+        _write_record(args.out_dir, inputs, ingested, map(registry.get, spec.sources))
     if spec.steps:
         panelio.export_csv(registry.get(result.outputs[spec.steps[-1].output]), args.out_dir)
 
@@ -219,7 +290,7 @@ def cmd_run(args) -> int:
         "outputs": result.outputs,
         "steps": result.log,
         "flags": result.flags,
-        "ingest_removed": ingested.removed,
+        "ingest_removed": removed,
     }
     _write(args, "run_log.json", json.dumps(run_log, sort_keys=True, indent=2) + "\n")
     for name, panel_id in result.outputs.items():

@@ -5,12 +5,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from factorlab import cli
+from factorlab import cli, ingest
 from factorlab import panel as panelio
 from factorlab.panel import Panel
 
@@ -33,6 +36,7 @@ CHAIN_RECIPES = ("hml", "jkp_momentum", "market_vw", "ewma_vol")
 GOLDEN_CHAIN = GOLDEN / "chain.sha256"
 # the digest of each CSV that the chain wrote when ingest and run exported every panel
 GOLDEN_EXPORT = GOLDEN / "chain_export.sha256"
+SMALL_GEN = ["gen", "--n-assets", "30", "--n-months", "36"]
 
 
 def factorlab(directory, *argv) -> int:
@@ -431,6 +435,123 @@ def test_a_chain_without_ingest_serves_from_runs_out_dir_and_exports_no_source(t
     assert (tmp_path / "report_HML_spread.md").exists() and (tmp_path / "HML_spread.dot").exists()
 
 
+# -- the ingest record: run loads the store only when it is what the CSVs make ----
+
+
+def zeroed_run_log(directory: Path) -> str:
+    """``run_log.json`` with each step's ``seconds`` zeroed, as the chain golden pins it."""
+    log = json.loads((directory / "run_log.json").read_text())
+    for step in log["steps"]:
+        step["seconds"] = 0.0
+    return json.dumps(log, sort_keys=True, indent=2) + "\n"
+
+
+def regenerate_csvs(directory):
+    assert factorlab(directory, "--seed", "8", *SMALL_GEN) == 0
+    return []
+
+
+def resave_ret(directory, reverse_assets):
+    """Save RET again with its grid doubled, or with the same grid bytes over its
+    assets in reverse order."""
+    ret = panelio.load(directory, "RET")
+    assets, values = ret.assets, ret.values * 2.0
+    if reverse_assets:
+        assets, values = ret.assets[::-1], ret.values
+    panelio.save(Panel.source("RET", ret.dates, assets, values, ret.provenance.params), directory)
+    return []
+
+
+def copy_monthly(directory):
+    shutil.copy(directory / "monthly.csv", directory / "copy.csv")
+    return ["--monthly", "copy.csv"]
+
+
+def truncate_record(directory):
+    record = directory / "ingest.json"
+    record.write_text(record.read_text()[:100])
+    return []
+
+
+@pytest.mark.parametrize("make_stale", [
+    regenerate_csvs,
+    lambda directory: resave_ret(directory, reverse_assets=False),
+    lambda directory: resave_ret(directory, reverse_assets=True),
+    copy_monthly,
+    truncate_record,
+], ids=["other_csvs", "other_grid", "same_grid_other_frame", "renamed_copy", "truncated"])
+def test_run_never_loads_a_store_its_record_does_not_vouch_for(tmp_path, make_stale):
+    work, fresh = tmp_path / "work", tmp_path / "fresh"
+    work.mkdir()
+    assert factorlab(work, *SMALL_GEN) == 0
+    assert factorlab(work, "ingest") == 0
+    argv = ["run", "market_vw", *make_stale(work)]
+    assert factorlab(work, *argv) == 0
+    assert cli.main(["--data-dir", str(work), "--out-dir", str(fresh), *argv]) == 0
+    for name in ("MKT.npy", "RET.meta.json", "CAP.meta.json"):
+        assert (work / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert zeroed_run_log(work) == zeroed_run_log(fresh)
+
+
+def test_runs_served_by_the_record_parse_nothing(tmp_path, monkeypatch):
+    parsed, read_table = [], ingest.read_table
+    monkeypatch.setattr(ingest, "read_table", lambda path, *args: (
+        parsed.append(Path(path).name) or read_table(path, *args)))
+    assert factorlab(tmp_path, *SMALL_GEN) == 0
+    assert factorlab(tmp_path, "ingest") == 0
+    assert parsed == ["monthly.csv", "annual.csv"]
+    assert factorlab(tmp_path, "run", "hml") == 0
+    hml_log = zeroed_run_log(tmp_path)
+    assert factorlab(tmp_path, "run", "market_vw") == 0
+    assert parsed == ["monthly.csv", "annual.csv"]
+
+    parsing = tmp_path / "parsing"  # the same chain, the record deleted before run hml
+    assert factorlab(parsing, *SMALL_GEN) == 0
+    assert factorlab(parsing, "ingest") == 0
+    (parsing / "ingest.json").unlink()
+    assert factorlab(parsing, "run", "hml") == 0
+    assert zeroed_run_log(parsing) == hml_log
+    assert len(parsed) == 6
+
+
+@pytest.mark.parametrize("argv", [["ingest"], ["run", "hml"]])
+def test_a_missing_monthly_csv_is_a_validation_error_naming_it(workdir, tmp_path, capsys, argv):
+    directory, _ = workdir
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    (data / "annual.csv").write_bytes((directory / "annual.csv").read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--data-dir", str(data), "--out-dir", str(out), *argv])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert only_error_line(capsys.readouterr().err).startswith(
+        f"error: {data / 'monthly.csv'}: cannot read: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("log_level, out, line", [
+    ("warning", ".", None),
+    ("info", ".", "sources loaded from the store {out}/ingest.json records"),
+    ("info", "fresh", "sources parsed from monthly.csv and annual.csv"),
+], ids=["default", "info_loaded", "info_parsed"])
+def test_run_logs_where_its_sources_came_from_at_info(workdir, tmp_path, log_level, out, line):
+    """In a new interpreter, since ``logging.basicConfig`` does nothing while
+    the test runner's log handlers are installed."""
+    directory, _ = workdir
+    for name in ("monthly.csv", "annual.csv"):
+        shutil.copy(directory / name, tmp_path / name)
+    assert factorlab(tmp_path, "ingest") == 0
+    out = tmp_path / out
+    argv = ["--data-dir", str(tmp_path), "--out-dir", str(out), "run", "market_vw"]
+    if log_level != "warning":  # the default
+        argv = ["--log-level", log_level, *argv]
+    proc = subprocess.run([sys.executable, "-m", "factorlab.cli", *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("" if line is None else
+                           f"INFO factorlab.cli: {line.format(out=out)}\n")
+
+
 def only_error_line(err: str) -> str:
     """The one ``error:`` line a failing command writes to stderr."""
     lines = err.splitlines()
@@ -528,18 +649,16 @@ def chain_digests(directory: Path) -> str:
 
     ``gen`` and ``ingest`` write ``directory``. Each ``run`` reads the CSVs there
     and writes ``directory/runs``, where ``report`` then runs, so a file that
-    ``run`` should not write shows up as a file of its own."""
+    ``run`` should not write shows up as a file of its own. ``run hml`` parses the
+    CSVs and records its sources in ``runs/ingest.json``; the other three load
+    them from that store, so the golden pins both paths to the same bytes."""
     runs = directory / "runs"
     assert factorlab(directory, *CHAIN_INPUTS) == 0
     assert factorlab(directory, "ingest") == 0
     for recipe in CHAIN_RECIPES:
         assert factorlab(directory, "--out-dir", str(runs), "run", recipe) == 0, recipe
     assert factorlab(runs, *GOLDEN_REPORT) == 0
-    run_log = runs / "run_log.json"
-    log = json.loads(run_log.read_text())
-    for step in log["steps"]:
-        step["seconds"] = 0.0
-    run_log.write_text(json.dumps(log, sort_keys=True, indent=2) + "\n")
+    (runs / "run_log.json").write_text(zeroed_run_log(runs))
     return digest_lines(directory)
 
 
