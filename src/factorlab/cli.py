@@ -401,15 +401,26 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command. For this call alone the ``factorlab`` loggers write at
+    ``--log-level`` to the current ``sys.stderr``, and not through the root
+    logger, whose handlers belong to whoever called."""
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=args.log_level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logger, handler = logging.getLogger("factorlab"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level, propagate = logger.level, logger.propagate
+    logger.setLevel(args.log_level.upper())
+    logger.propagate = False
+    logger.addHandler(handler)
     try:
         return COMMANDS[args.command](args)
     except (StepExecutionError, OSError) as exc:  # before EngineError: it is one
         _fail(EXIT_RUNTIME, str(exc))
     except EngineError as exc:
         _fail(EXIT_VALIDATION, str(exc))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)  # setLevel, not the attribute: it clears the loggers' caches
+        logger.propagate = propagate
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ ANNUAL_KEY_COLUMNS = ["fiscal_end", "asset_id"]
 # an asset id with these cannot be written: a CSV field holds the first four only
 # when quoted, and the csv module of Python 3.10 refuses a NUL anywhere
 _UNWRITABLE = frozenset(',"\r\n\0')
-READ_BATCH = 500  # rows per read_table batch; below the collector's gen-0 threshold of 700
+READ_BATCH = 500  # rows of text alive at once in read_table; below the gen-0 threshold of 700
 
 
 class Table(NamedTuple):
@@ -43,7 +43,7 @@ class Table(NamedTuple):
 
 
 def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) -> Table:
-    """Parse a "period, asset, values..." CSV column by column.
+    """Parse a "period, asset, values..." CSV batch by batch.
 
     Header fields are compared stripped. With ``columns`` the header must be
     exactly ``keys + columns``; without, every field after the keys is a value
@@ -51,61 +51,80 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
     lines are skipped, keys are stripped, values follow Python ``float`` and a
     blank value is missing. A bad row width, period or number, an asset id that
     is empty, needs CSV quoting or holds a NUL, or a duplicate key raises
-    ``DataError`` naming the line.
+    ``DataError`` naming the line. Of several defects the first kind in that
+    order is raised, at its first line; a bad number is named in the first value
+    column, in header order, that holds one.
 
-    Rows are taken from the CSV reader ``READ_BATCH`` at a time into one flat
-    array of field strings. A row list is a garbage-collected container and a
-    string is not, so a batch smaller than the collector's first-generation
-    threshold dies young, and no full collection rescans a whole file of rows.
+    Rows are taken from the CSV reader ``READ_BATCH`` at a time. A batch's key
+    fields become int codes through running dicts, in order of first sight, and
+    its value fields one (rows x values) float64 block; then its strings die, so
+    the text of one batch is alive at a time, not the file's. The codes and
+    blocks are concatenated once, at the end. A row list is a garbage-collected
+    container, and a batch below the collector's first-generation threshold dies
+    young, so no collection rescans the rows of earlier batches.
     """
     path, keys = Path(path), list(keys)
-    widths, batches = [], []
+    empty = np.empty(0, np.int64)
+    labels, codes = ({}, {}), ([empty], [empty])  # each key field's strings -> code, its codes
+    blocks, numbered, bad = [], [empty], {}  # float blocks, non-blank record numbers, bad numbers
+    misfit = None  # the record number of the first row of the wrong width
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, skipinitialspace=True)
             header = [h.strip() for h in next(reader, [])]
+            expected = keys + list(columns or ["..."])
+            fits = (header == expected if columns is not None
+                    else header[:len(keys)] == keys and len(header) > len(keys))
+            repeated = [name for k, name in enumerate(header) if name in header[:k]]
+            records = 0
             while batch := list(islice(reader, READ_BATCH)):
-                width = list(map(len, batch))
-                widths += width
-                batches.append(np.fromiter(chain.from_iterable(batch), object, sum(width)))
+                start, records = records, records + len(batch)
+                if fits and not repeated and misfit is None:  # else read on for a read error
+                    width = np.fromiter(map(len, batch), np.int64, len(batch))
+                    rows = np.flatnonzero(width) + start
+                    wrong = np.flatnonzero(width[width > 0] != len(header))
+                    if wrong.size:
+                        misfit = rows[wrong[0]]
+                        continue
+                    numbered.append(rows)
+                    fields = np.fromiter(chain.from_iterable(batch), object,
+                                         rows.size * len(header)).reshape(-1, len(header))
+                    for known, code, column in zip(labels, codes, fields.T):
+                        for label in dict.fromkeys(column := column.tolist()):
+                            known.setdefault(label, len(known))
+                        code.append(np.fromiter(map(known.__getitem__, column), np.int64,
+                                                len(column)))
+                    blocks.append(_numbers(fields[:, len(keys):], rows, bad))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
-    expected = keys + list(columns or ["..."])
-    if (header != expected if columns is not None
-            else header[:len(keys)] != keys or len(header) == len(keys)):
+    if not fits:
         raise DataError(f"{path}: expected header {','.join(expected)}")
-    repeated = [name for k, name in enumerate(header) if name in header[:k]]
     if repeated:
         raise DataError(f"{path}: column {repeated[0]!r} appears twice in the header")
-
-    width = np.array(widths, dtype=np.int64)
-    numbered = np.flatnonzero(width)  # the record number of each non-blank record
-    bad = np.flatnonzero(width[width > 0] != len(header))
-    if bad.size:
-        raise DataError(f"{_where(path, numbered, bad[0])}: expected {len(header)} fields")
-    fields = np.concatenate(batches or [np.empty(0, object)]).reshape(-1, len(header)).T
-    del batches  # the field array now holds the only references to the text
-
-    labels, inverse = _factorize(fields[0])  # labels in file order: the earliest bad line is named
-    ordinals = np.zeros(len(labels), dtype=np.int64)
-    for k, label in enumerate(labels):
+    if misfit is not None:
+        raise DataError(f"{_where(path, misfit)}: expected {len(header)} fields")
+    numbered = np.concatenate(numbered)
+    periods, asset_ids = (list(known) for known in labels)
+    period_code, asset_code = map(np.concatenate, codes)
+    ordinals = np.zeros(len(periods), dtype=np.int64)
+    for k, label in enumerate(periods):  # in file order: the earliest bad line is named
         try:
             ordinals[k] = month_ordinal(label.strip())
         except DataError as exc:
-            raise DataError(f"{_where(path, numbered, np.argmax(inverse == k))}: {exc}") from None
+            first = numbered[np.argmax(period_code == k)]
+            raise DataError(f"{_where(path, first)}: {exc}") from None
     dates, row = np.unique(ordinals, return_inverse=True)
-    row = row[inverse]
-    labels, inverse = _factorize(fields[1])
-    stripped = [label.strip() for label in labels]
+    row = row[period_code]
+    stripped = [label.strip() for label in asset_ids]
     assets = sorted(set(stripped))
     position = {asset: j for j, asset in enumerate(assets)}
-    col = np.array([position[asset] for asset in stripped], dtype=np.int64)[inverse]
+    col = np.array([position[asset] for asset in stripped], dtype=np.int64)[asset_code]
     if assets[:1] == [""]:
-        raise DataError(f"{_where(path, numbered, np.argmax(col == 0))}: empty {keys[1]}")
+        raise DataError(f"{_where(path, numbered[np.argmax(col == 0)])}: empty {keys[1]}")
     unwritable = [j for j, a in enumerate(assets) if not _UNWRITABLE.isdisjoint(a)]
     if unwritable:  # the CSV export writes asset ids unquoted
         k = np.argmax(np.isin(col, unwritable))
-        raise DataError(f"{_where(path, numbered, k)}: {keys[1]} {assets[col[k]]!r} "
+        raise DataError(f"{_where(path, numbered[k])}: {keys[1]} {assets[col[k]]!r} "
                         f"holds a comma, quote or line break, or a NUL")
 
     keyed = np.zeros((len(dates), len(assets)), dtype=bool)
@@ -114,49 +133,48 @@ def read_table(path, keys: Sequence[str], columns: Sequence[str] | None = None) 
         flat = row * len(assets) + col
         order = np.argsort(flat, kind="stable")
         k = order[1:][np.diff(flat[order]) == 0].min()
-        raise DataError(f"{_where(path, numbered, k)}: duplicate key "
-                        f"({fields[0][k].strip()},{fields[1][k].strip()})")
+        raise DataError(f"{_where(path, numbered[k])}: duplicate key "
+                        f"({periods[period_code[k]].strip()},{stripped[asset_code[k]]})")
+    if bad:  # the first value column in header order that holds one, at its first line
+        j = min(bad)
+        raise DataError(f"{_where(path, bad[j][0])}: bad number {bad[j][1]!r} "
+                        f"in column {header[len(keys) + j]}")
+    values = np.concatenate([np.empty((0, len(header) - len(keys))), *blocks])
     grids = {}
-    for name, raw in zip(header[len(keys):], fields[len(keys):]):
+    for name, value in zip(header[len(keys):], values.T):
         grids[name] = np.full(keyed.shape, np.nan)
-        grids[name][row, col] = _numbers(raw, path, name, numbered)
+        grids[name][row, col] = value
     return Table(DateIndex.from_ordinals(dates.tolist()), tuple(assets), grids, keyed)
 
 
-def _factorize(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The distinct strings of ``column`` in order of first appearance, and the
-    index of each entry's string in that list."""
-    labels = column.tolist()
-    codes = {label: k for k, label in enumerate(dict.fromkeys(labels))}
-    return list(codes), np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
-
-
-def _where(path: Path, numbered: np.ndarray, k: int) -> str:
-    """``<path> line <n>`` for the ``k``-th non-blank record, whose record number
-    (0 is the first after the header) is ``numbered[k]``. A quoted field may span
-    lines, so only a new read of the file finds the line; errors alone need it."""
+def _where(path: Path, record: int) -> str:
+    """``<path> line <n>`` for record number ``record`` (0 is the first after the
+    header). A quoted field may span lines, so only a new read of the file finds
+    the line; errors alone need it."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, skipinitialspace=True)
-        for _ in range(int(numbered[k]) + 1):  # the header and the records before
+        for _ in range(int(record) + 1):  # the header and the records before
             next(reader)
         return f"{path} line {reader.line_num + 1}"
 
 
-def _numbers(raw: np.ndarray, path: Path, column: str, numbered: np.ndarray) -> np.ndarray:
-    """An object array of field strings as float64; a blank field is NaN."""
+def _numbers(raw: np.ndarray, records: np.ndarray, bad: dict[int, tuple[int, str]]) -> np.ndarray:
+    """A batch's (rows x value columns) object array of field strings as float64;
+    a blank field is NaN. A bad number is NaN too, and the first one of each
+    column goes into ``bad`` as column index -> (record number, stripped text)."""
     raw[raw == ""] = "nan"
     try:
         return raw.astype(np.float64)  # numpy applies Python's float() to each string
     except ValueError:
         pass
-    for k, text in enumerate(raw.tolist()):  # rare: a field of tabs, or a bad number
-        try:
-            float(text)
-        except ValueError:
-            if not text.isspace():
-                raise DataError(f"{_where(path, numbered, k)}: bad number {text.strip()!r} "
-                                f"in column {column}") from None
-            raw[k] = "nan"
+    for j, column in enumerate(raw.T):  # rare: a field of tabs, or a bad number
+        for r, text in enumerate(column.tolist()):
+            try:
+                float(text)
+            except ValueError:
+                if not text.isspace():
+                    bad.setdefault(j, (records[r], text.strip()))
+                column[r] = "nan"
     return raw.astype(np.float64)
 
 
@@ -221,7 +239,9 @@ def ingest_annual(csv_path, frame: tuple[DateIndex, tuple[str, ...]] | None = No
             params={"file": Path(csv_path).name, "column": col})
         for col, grid in table.grids.items()
     }
-    inside = np.outer(np.isin(table.dates.ordinals, dates.ordinals), np.isin(table.assets, assets))
+    framed = set(assets)  # np.isin of strings would import numpy.ma through np.unique
+    inside = np.outer(np.isin(table.dates.ordinals, dates.ordinals),
+                      np.array([asset in framed for asset in table.assets], dtype=bool))
     return IngestResult(panels=panels, n_rows=int(np.count_nonzero(table.keyed)),
                         skipped_rows=int(np.count_nonzero(table.keyed & ~inside)))
 

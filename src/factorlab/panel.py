@@ -75,6 +75,15 @@ def ordinal_to_period(ordinal: int) -> str:
     return f"{year:04d}-{month + 1:02d}"
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D array, as ``np.unique`` gives them.
+    On numpy 2.4 the plain ``np.unique`` imports ``numpy.ma``, 11-21 ms a process."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 class DateIndex:
     """Strictly increasing months, gaps allowed, kept as read-only int64 ``ordinals``;
     ``periods`` and the two-label ``span`` are formatted on first access and cached,
@@ -142,10 +151,11 @@ class DateIndex:
 
     def union(self, other: "DateIndex") -> "DateIndex":
         return self if self == other else DateIndex.from_ordinals(
-            np.union1d(self.ordinals, other.ordinals))
+            distinct(np.concatenate((self.ordinals, other.ordinals))))
 
     def intersection(self, other: "DateIndex") -> "DateIndex":
-        return DateIndex.from_ordinals(np.intersect1d(self.ordinals, other.ordinals))
+        return DateIndex.from_ordinals(
+            np.intersect1d(self.ordinals, other.ordinals, assume_unique=True))
 
 
 def reframe(values: np.ndarray, src_dates: DateIndex, dates: DateIndex,

@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .panel import Panel, reframe
+from .panel import Panel, distinct, reframe
 from .transforms import align_panels, run_sums
 
 
@@ -196,7 +196,7 @@ def size_stratified_alphas(
     to a note instead of aborting the table.
     """
     vals = size_bins.values
-    codes = sorted({int(v) for v in np.unique(vals[~np.isnan(vals)]).tolist()})
+    codes = sorted({int(v) for v in distinct(vals[~np.isnan(vals)]).tolist()})
     if not codes:
         raise DataError("size_bins panel has no binned assets")
 

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import AlignmentError
-from .panel import SERIES_ASSET, DateIndex, Panel, reframe
+from .panel import SERIES_ASSET, DateIndex, Panel, distinct, reframe
 
 BINARY_OPS = ("add", "sub", "mul", "div")
 UNARY_OPS = ("neg", "abs", "log", "rank_sign_flip")
@@ -398,7 +398,7 @@ def run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each run of ``counts[i]`` consecutive values summed as numpy sums it alone:
     the runs of one length are the rows of one block, summed at once."""
     out, starts = np.zeros(len(counts)), np.cumsum(counts) - counts
-    for m in np.unique(counts[counts > 0]).tolist():
+    for m in distinct(counts[counts > 0]).tolist():
         runs = np.flatnonzero(counts == m)
         out[runs] = values[starts[runs, None] + np.arange(m)].sum(axis=1)
     return out

@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -534,8 +537,7 @@ def test_a_missing_monthly_csv_is_a_validation_error_naming_it(workdir, tmp_path
     ("info", "fresh", "sources parsed from monthly.csv and annual.csv"),
 ], ids=["default", "info_loaded", "info_parsed"])
 def test_run_logs_where_its_sources_came_from_at_info(workdir, tmp_path, log_level, out, line):
-    """In a new interpreter, since ``logging.basicConfig`` does nothing while
-    the test runner's log handlers are installed."""
+    """In a new interpreter, as a user runs the command."""
     directory, _ = workdir
     for name in ("monthly.csv", "annual.csv"):
         shutil.copy(directory / name, tmp_path / name)
@@ -550,6 +552,54 @@ def test_run_logs_where_its_sources_came_from_at_info(workdir, tmp_path, log_lev
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ("" if line is None else
                            f"INFO factorlab.cli: {line.format(out=out)}\n")
+
+
+@pytest.mark.parametrize("host_logging", [False, True], ids=["bare", "host_configured"])
+def test_log_level_holds_for_each_in_process_call(workdir, tmp_path, monkeypatch, request,
+                                                  host_logging):
+    """Each call writes its own INFO line to the ``sys.stderr`` of that call, also
+    after a host set up logging at WARNING; at the default level nothing is written,
+    and nothing reaches the host's handlers."""
+    directory, _ = workdir
+    for name in ("monthly.csv", "annual.csv"):
+        shutil.copy(directory / name, tmp_path / name)
+    assert factorlab(tmp_path, "ingest") == 0
+    host = io.StringIO()
+    if host_logging:  # on a root logger of its own, so the test runner's handlers stay put
+        monkeypatch.setattr(logging.root, "handlers", [])
+        request.addfinalizer(partial(logging.root.setLevel, logging.root.level))
+        logging.basicConfig(level="WARNING", stream=host)
+    line = f"INFO factorlab.cli: sources loaded from the store {tmp_path}/ingest.json records\n"
+    for argv, want in ((["--log-level", "info"], line), (["--log-level", "info"], line), ([], "")):
+        with redirect_stderr(io.StringIO()) as err:
+            assert factorlab(tmp_path, *argv, "run", "market_vw") == 0
+        assert err.getvalue() == want
+    assert host.getvalue() == ""
+    assert logging.getLogger("factorlab").handlers == []
+
+
+def test_a_chain_never_imports_numpy_ma(tmp_path):
+    """On numpy 2.4 a plain ``np.unique`` or ``np.isin`` imports ``numpy.ma``,
+    11-21 ms a process; ``gen``, ``ingest``, ``run hml``, ``run market_vw`` and a
+    stratified report call neither. In a new interpreter, which nothing else has
+    imported it into."""
+    chain = [["gen", "--n-assets", "30", "--n-months", "72", "--val-spread", "0.003"],
+             ["ingest"], ["run", "hml"], ["run", "market_vw"], BENCH_REPORT]
+    script = ("import json, sys, numpy\n"
+              "if 'numpy.ma' in sys.modules: sys.exit(print('numpy loads numpy.ma'))\n"
+              "from factorlab import cli\n"
+              "for argv in json.loads(sys.argv[2]):\n"
+              "    dirs = ['--data-dir', sys.argv[1], '--out-dir', sys.argv[1]]\n"
+              "    assert cli.main([*dirs, *argv]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(chain)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    if last == "numpy loads numpy.ma":
+        pytest.skip(last)
+    assert last == "False"
 
 
 def only_error_line(err: str) -> str:

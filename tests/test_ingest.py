@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import factorlab
 from factorlab import panel as panelio
 from factorlab.errors import DataError
 from factorlab.ingest import (
@@ -291,6 +295,89 @@ class TestReadBatchBoundaries:
         write_monthly(f, rows)
         with pytest.raises(DataError, match=f"line {k + after}: bad number 'xyz' in column ret"):
             ingest_monthly(f)
+
+
+def put(row: str, column: str, text: str) -> str:
+    """A monthly ``row`` with the field of ``column`` replaced by ``text``."""
+    fields = row.split(",")
+    fields[MONTHLY_HEADER.index(column)] = text
+    return ",".join(fields)
+
+
+class TestSeveralDefects:
+    """With more than one defect the checks run in one order: read, header,
+    width, period, asset id, duplicate key, then number. So a bad number held
+    from an early batch yields to a later defect of another kind, and of bad
+    numbers the first value column in header order is named."""
+
+    @pytest.mark.parametrize("first, second, named, message", [
+        ((2, lambda row: put(row, "ret", "xyz")),
+         (399, lambda row: put(put(row, "date", "1990-01"), "asset_id", "a0")),
+         399, r"duplicate key \(1990-01,a0\)"),
+        ((2, lambda row: put(row, "capco", "q")), (899, lambda row: put(row, "ret", "xyz")),
+         899, "bad number 'xyz' in column ret"),
+        ((2, lambda row: put(row, "ret", "xyz")),
+         (READ_BATCH + 10, lambda row: put(row, "date", "1990-13")),
+         READ_BATCH + 10, "bad month in period '1990-13'"),
+        ((2, lambda row: put(row, "ret", "xyz")),
+         (READ_BATCH + 10, lambda row: row.rsplit(",", 1)[0]),
+         READ_BATCH + 10, "expected 6 fields"),
+    ], ids=["number_then_duplicate", "capco_then_ret", "number_then_period",
+            "number_then_width"])
+    def test_the_first_kind_in_check_order_is_named(self, tmp_path, first, second, named,
+                                                    message):
+        rows = clean_rows(2 * READ_BATCH)
+        for k, defect in (first, second):
+            rows[k] = defect(rows[k])
+        f = tmp_path / "m.csv"
+        write_monthly(f, rows)
+        with pytest.raises(DataError, match=f"line {named + 2}: {message}"):
+            ingest_monthly(f)
+
+    def test_a_read_error_after_every_other_defect_comes_first(self, tmp_path):
+        rows = clean_rows(2 * READ_BATCH)
+        rows[2] = put(rows[2], "date", "1990-13")
+        f = tmp_path / "m.csv"
+        write_monthly(f, rows)
+        f.write_bytes(f.read_bytes() + b"1999-01,\xff,0,5,5,1\n")
+        with pytest.raises(DataError, match="cannot read"):
+            ingest_monthly(f)
+
+
+def _reads_vmhwm() -> bool:
+    try:
+        return "VmHWM:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+# in a new interpreter: VmHWM after the imports, ingest_dataset, VmHWM again
+MEMORY_CHILD = """
+import sys
+from factorlab.ingest import ingest_dataset
+def vmhwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+before = vmhwm()
+result = ingest_dataset(sys.argv[1] + "/monthly.csv", sys.argv[1] + "/annual.csv")
+print(vmhwm() - before, sum(p.values.nbytes for p in result.panels.values()), result.n_rows)
+"""
+
+
+@pytest.mark.skipif(not _reads_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_ingest_peak_memory_is_bounded_by_its_grids(tmp_path):
+    """The reader keeps codes and floats, not a file of field strings. At
+    100 x 600 the rise was about 2.4 times the grids' bytes; a reader that held
+    every field string until its last check rose about 8 times."""
+    generate_synthetic(GeneratorConfig(seed=3, n_assets=100, n_months=600), tmp_path)
+    src = str(Path(factorlab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", MEMORY_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    rise, grid_bytes, n_rows = map(int, proc.stdout.split())
+    assert n_rows > 60_000
+    assert rise < 4 * grid_bytes + 4 * 2**20, (rise, grid_bytes)
 
 
 # -- the per-row readers that panel.read_table replaced, kept as references ----------

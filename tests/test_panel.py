@@ -18,6 +18,7 @@ from factorlab.panel import (
     Panel,
     PanelRegistry,
     ProvenanceRecord,
+    distinct,
     export_graph,
     month_ordinal,
     ordinal_to_period,
@@ -51,6 +52,22 @@ class TestDateIndex:
     def test_month_arithmetic_round_trip(self):
         for period in ("1990-01", "1999-12", "2023-07"):
             assert ordinal_to_period(month_ordinal(period)) == period
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(0, 40)), st.sets(st.integers(0, 40)))
+    def test_union_and_intersection_are_the_set_operations(self, one, other):
+        a, b = (DateIndex.from_ordinals(sorted(s)) for s in (one, other))
+        assert a.union(b).ordinals.tolist() == sorted(one | other)
+        assert a.intersection(b).ordinals.tolist() == sorted(one & other)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-5, 5)).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.floats(-3, 3, allow_nan=False)).map(lambda v: np.array(v, dtype=float))))
+    def test_distinct_is_np_unique(self, array):
+        got, want = distinct(array), np.unique(array)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
 
     def test_bad_period(self):
         with pytest.raises(DataError):
