@@ -580,7 +580,7 @@ def test_log_level_holds_for_each_in_process_call(workdir, tmp_path, monkeypatch
 
 def test_a_chain_never_imports_numpy_ma(tmp_path):
     """On numpy 2.4 a plain ``np.unique`` or ``np.isin`` imports ``numpy.ma``,
-    11-21 ms a process; ``gen``, ``ingest``, ``run hml``, ``run market_vw`` and a
+    10-21 ms a process; ``gen``, ``ingest``, ``run hml``, ``run market_vw`` and a
     stratified report call neither. In a new interpreter, which nothing else has
     imported it into."""
     chain = [["gen", "--n-assets", "30", "--n-months", "72", "--val-spread", "0.003"],
